@@ -28,8 +28,9 @@
    propagation percentiles, queue depths, overflow/reconnect counts)
    and leaves one JSONL trace per process in --trace-dir, ready for
    `trace.exe merge`.  Exits non-zero when nothing was delivered, no
-   end-to-end sample was measured, or the delivery ratio falls under
-   --min-delivery-ratio — the CI regression gate. *)
+   end-to-end sample was measured, an editor's controller raised on
+   receive (counted in loadgen.receive_errors), or the delivery ratio
+   falls under --min-delivery-ratio — the CI regression gate. *)
 
 open Dce_core
 module Obs = Dce_obs
@@ -171,6 +172,9 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
     Obs.Metrics.counter metrics
       (Obs.Metrics.with_label "load.delivered" ~key:"doc" ~value:doc)
   in
+  (* a controller fault on receive is a lost delivery, not noise: the
+     harness fails the run when any editor counts one *)
+  let receive_errors_c = Obs.Metrics.counter metrics "loadgen.receive_errors" in
   let outbox_g = Obs.Metrics.gauge metrics "netd.outbox_bytes" in
   let ctrl = ref None in
   let send m =
@@ -221,7 +225,10 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
                Obs.Metrics.observe e2e (Obs.Clock.now_ns () - s.Proto.s_ns)
              | None -> ());
             List.iter send emitted
-          | exception _ -> ())))
+          | exception e ->
+            Obs.Metrics.incr receive_errors_c;
+            Printf.eprintf "loadgen: site %d: receive failed: %s\n%!" site
+              (Printexc.to_string e))))
     | Netd.Client.Beacon blob -> (
       (* the hub's aggregate stability gossip: absorbing it is what lets
          this editor compact below, keeping |H| flat for the whole run *)
@@ -587,6 +594,7 @@ let run editors rate duration drain_ms port text trace_dir out min_ratio docs_k
   in
   let sent = List.fold_left (fun a (_, _, s, _) -> a + s) 0 per_doc in
   let delivered = counter "controller_delivered" in
+  let receive_errors = counter "loadgen_receive_errors" in
   let e2e =
     try Some (List.assoc "e2e_propagation_ns" hists) with Not_found -> None
   in
@@ -634,6 +642,7 @@ let run editors rate duration drain_ms port text trace_dir out min_ratio docs_k
         ("sent_ops", Obs.Json.Int sent);
         ("delivered", Obs.Json.Int delivered);
         ("delivery_ratio", Obs.Json.Float ratio);
+        ("receive_errors", Obs.Json.Int receive_errors);
         ("throughput_per_s", Obs.Json.Float throughput);
         ("per_doc", Obs.Json.List per_doc_json);
         ("e2e_samples", Obs.Json.Int e2e_count);
@@ -665,6 +674,9 @@ let run editors rate duration drain_ms port text trace_dir out min_ratio docs_k
         List.map (fun f -> "scrape failed: " ^ f) !scrape_failures;
         (if delivered = 0 then [ "nothing was delivered" ] else []);
         (if e2e_count = 0 then [ "no end-to-end latency samples" ] else []);
+        (if receive_errors > 0 then
+           [ Printf.sprintf "%d controller fault(s) on receive" receive_errors ]
+         else []);
         (if ratio < min_ratio then
            [
              Printf.sprintf "delivery ratio %.2f under the gate %.2f" ratio

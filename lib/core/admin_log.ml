@@ -65,28 +65,31 @@ let request_at t v =
 
 let requests t = List.rev_map (fun (r, _, _) -> r) t.entries
 
-let restrictive_since t v =
-  List.filter
-    (fun (r : Admin_op.request) ->
-      r.Admin_op.version > v && Admin_op.is_restrictive r.Admin_op.op)
-    (requests t)
-
 let first_denial t ~from_version ~user ~right ~pos =
   (* Grants can only be withdrawn by restrictive requests, so it is
      enough to check the starting version and the version produced by
-     each restrictive request in the interval. *)
-  let granted v =
-    match policy_at t v with
-    | Some p -> Policy.check p ~user ~right ~pos
-    | None -> false
+     each restrictive request after it.  Entries are newest first: the
+     walk stops at [from_version], so a recent request costs
+     O(versions since from_version), not O(|L|). *)
+  let granted p = Policy.check p ~user ~right ~pos in
+  (* the snapshot at [from_version] and the later restrictive
+     snapshots, oldest first *)
+  let rec since acc = function
+    | (r, p, _) :: rest when r.Admin_op.version > from_version ->
+      let acc =
+        if Admin_op.is_restrictive r.Admin_op.op then (r.Admin_op.version, p) :: acc
+        else acc
+      in
+      since acc rest
+    | (_, p, _) :: _ -> (p, acc)
+    | [] -> (t.initial, acc)
   in
   if from_version > t.version then None
-  else if not (granted from_version) then Some from_version
+  else if from_version < 0 then Some from_version
   else
-    List.find_map
-      (fun (r : Admin_op.request) ->
-        if granted r.Admin_op.version then None else Some r.Admin_op.version)
-      (restrictive_since t from_version)
+    let base, restrictive = since [] t.entries in
+    if not (granted base) then Some from_version
+    else List.find_map (fun (v, p) -> if granted p then None else Some v) restrictive
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>L (version %d):@ %a@]" t.version

@@ -45,9 +45,6 @@ val request_at : t -> int -> Admin_op.request option
 val requests : t -> Admin_op.request list
 (** All applied requests, oldest first. *)
 
-val restrictive_since : t -> int -> Admin_op.request list
-(** Restrictive requests with version in [(v, current)]. *)
-
 val first_denial :
   t -> from_version:int -> user:Subject.user -> right:Right.t -> pos:int option ->
   int option
@@ -56,6 +53,7 @@ val first_denial :
     if every version in [[from_version, version l]] grants it.  This is
     the paper's remote check: a cooperative request is accepted iff the
     result is [None], and otherwise the returned version is its canonical
-    cancellation version. *)
+    cancellation version.  Costs O(versions since [from_version]): only
+    the starting snapshot and the later restrictive ones are checked. *)
 
 val pp : Format.formatter -> t -> unit

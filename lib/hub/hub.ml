@@ -279,16 +279,60 @@ let attach ?resume t cs ~dialect ~session:s ~site =
   trace_s t s site "snapshot" "";
   update_doc_gauges t s
 
-(* Journal an integrated message and checkpoint on cadence.  Journal
-   errors degrade durability, not availability: the live session keeps
-   running and the failure is surfaced through the trace. *)
+let doc_window_gauges t s =
+  let doc = Session.name s in
+  let ctrl = Session.controller s in
+  let g name v = M.set (M.gauge t.reg (M.with_label name ~key:"doc" ~value:doc)) v in
+  g "hub.window_len" (Controller.window_len ctrl);
+  g "hub.compacted_upto" (Vclock.sum (Controller.compacted_upto ctrl));
+  g "hub.stable_lag" (Controller.stable_lag ctrl)
+
+(* Compact one session's log behind its stability frontier.  For a
+   journaled session the cut is clamped to the durability cut — and when
+   the frontier has advanced past the last durable snapshot, a fresh
+   checkpoint is taken first so the clamp does not hold compaction back.
+   A journaled session with no snapshot yet is never compacted. *)
+let compact_session t s =
+  let ctrl = Session.controller s in
+  (match Session.journal s with
+   | None -> Session.set_controller s (Controller.compact ctrl)
+   | Some j ->
+     let limit =
+       let fresh_enough cut = Vclock.leq (Controller.stable_frontier ctrl) cut in
+       match Persist.checkpoint_clock j with
+       | Some cut when fresh_enough cut -> Some cut
+       | _ -> (
+         match Persist.checkpoint j ctrl with
+         | Ok () ->
+           trace_s t s (Controller.site ctrl) "checkpoint" "pre-compaction";
+           Persist.checkpoint_clock j
+         | Error e ->
+           t.journal_errors <- t.journal_errors + 1;
+           trace_s t s (Controller.site ctrl) "journal_error" e;
+           Persist.checkpoint_clock j)
+     in
+     match limit with
+     | Some limit -> Session.set_controller s (Controller.compact ~limit ctrl)
+     | None -> ());
+  doc_window_gauges t s
+
+(* Journal an integrated message and checkpoint on cadence.  A fresh
+   checkpoint is also a fresh durability cut, so the session compacts
+   right behind it: the hosted window stays bounded by the snapshot
+   cadence instead of growing until the next stability tick, and the
+   clamp is met without a second checkpoint.  Journal errors degrade
+   durability, not availability: the live session keeps running and
+   the failure is surfaced through the trace. *)
 let journal_received t s m =
   match Session.journal s with
   | None -> ()
   | Some j -> (
     Persist.record j (Persist.Received m);
     match Persist.maybe_checkpoint j (Session.controller s) with
-    | Ok did -> if did then trace_s t s (Controller.site (Session.controller s)) "checkpoint" ""
+    | Ok false -> ()
+    | Ok true ->
+      trace_s t s (Controller.site (Session.controller s)) "checkpoint" "";
+      compact_session t s
     | Error e ->
       t.journal_errors <- t.journal_errors + 1;
       trace_s t s (Controller.site (Session.controller s)) "journal_error" e)
@@ -612,15 +656,7 @@ let heartbeats t =
     t.conns
 
 (* ------------------------------------------------------------------ *)
-(* Stability protocol: beacon fan-out and window compaction           *)
-
-let doc_window_gauges t s =
-  let doc = Session.name s in
-  let ctrl = Session.controller s in
-  let g name v = M.set (M.gauge t.reg (M.with_label name ~key:"doc" ~value:doc)) v in
-  g "hub.window_len" (Controller.window_len ctrl);
-  g "hub.compacted_upto" (Vclock.sum (Controller.compacted_upto ctrl));
-  g "hub.stable_lag" (Controller.stable_lag ctrl)
+(* Stability protocol: beacon fan-out and the compaction tick        *)
 
 (* Fan the per-doc aggregate frontier — every member's latest
    advertisement plus the hub's own — to v2 members and up the
@@ -647,35 +683,6 @@ let beacon_session t s =
       | Session.V1 -> () (* a v1 peer would drop the unknown tag *))
     (Session.members s);
   Option.iter (fun u -> Upstream.send_beacon u ~doc blob) t.upstream
-
-(* Compact one session's log behind its stability frontier.  For a
-   journaled session the cut is clamped to the durability cut — and when
-   the frontier has advanced past the last durable snapshot, a fresh
-   checkpoint is taken first so the clamp does not hold compaction back.
-   A journaled session with no snapshot yet is never compacted. *)
-let compact_session t s =
-  let ctrl = Session.controller s in
-  (match Session.journal s with
-   | None -> Session.set_controller s (Controller.compact ctrl)
-   | Some j ->
-     let limit =
-       let fresh_enough cut = Vclock.leq (Controller.stable_frontier ctrl) cut in
-       match Persist.checkpoint_clock j with
-       | Some cut when fresh_enough cut -> Some cut
-       | _ -> (
-         match Persist.checkpoint j ctrl with
-         | Ok () ->
-           trace_s t s (Controller.site ctrl) "checkpoint" "pre-compaction";
-           Persist.checkpoint_clock j
-         | Error e ->
-           t.journal_errors <- t.journal_errors + 1;
-           trace_s t s (Controller.site ctrl) "journal_error" e;
-           Persist.checkpoint_clock j)
-     in
-     match limit with
-     | Some limit -> Session.set_controller s (Controller.compact ~limit ctrl)
-     | None -> ());
-  doc_window_gauges t s
 
 let stability t =
   let now = Obs.Clock.now_ms () in

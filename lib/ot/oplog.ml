@@ -14,12 +14,23 @@ end)
    positions are absolute — [base] counts entries dropped by compaction,
    so the tree position of id is [index(id) - base] and compaction never
    rewrites the index.  [compacted] is the per-site serial floor below
-   which entries have been compacted away. *)
+   which entries have been compacted away.
+
+   [horizon] and [cancel_max] are a causal summary of the stored
+   entries: the per-site max serial over normal entries and canceller
+   targets, and the max canceller policy version.  A request whose
+   context and policy version dominate them has every entry in its
+   context, which lets [integrate] skip the prefix scan.  Compaction
+   leaves them as they are — an over-approximation, which only makes
+   the skip rarer.  They are derived state: {!entries}, and hence every
+   encoder and fingerprint, never see them. *)
 type 'e t = {
   entries : 'e entry Stree.t;
   index : int Id_map.t;
   base : int;
   compacted : Vclock.t;
+  horizon : Vclock.t;
+  cancel_max : int;
 }
 
 let tentative e =
@@ -34,8 +45,27 @@ let index_set e pos index =
   | Normal -> Id_map.add (key e.req.Request.id) pos index
   | Canceller _ -> index
 
+let note_entry h e =
+  match e.role with
+  | Normal ->
+    let id = e.req.Request.id in
+    { h with horizon = Vclock.advance h.horizon id.Request.site id.Request.serial }
+  | Canceller target ->
+    {
+      h with
+      horizon = Vclock.advance h.horizon target.Request.site target.Request.serial;
+      cancel_max = max h.cancel_max e.req.Request.policy_version;
+    }
+
 let empty =
-  { entries = Stree.empty; index = Id_map.empty; base = 0; compacted = Vclock.empty }
+  {
+    entries = Stree.empty;
+    index = Id_map.empty;
+    base = 0;
+    compacted = Vclock.empty;
+    horizon = Vclock.empty;
+    cancel_max = 0;
+  }
 
 let length h = Stree.length h.entries
 
@@ -50,7 +80,7 @@ let of_entries ~compacted entries =
       (fun (index, i) e -> (index_set e i index, i + 1))
       (Id_map.empty, 0) entries
   in
-  { entries = tree; index; base = 0; compacted }
+  List.fold_left note_entry { empty with entries = tree; index; compacted } entries
 
 let compacted_upto h = h.compacted
 
@@ -115,6 +145,7 @@ let transpose a b =
    tree work for a bubble of extent [k], instead of two O(log H) tree
    writes per transposition. *)
 let append_entry_canonized h entry =
+  let h = note_entry h entry in
   let movable op = Op.is_del op || Op.is_undel op || Op.is_up op in
   let pos = Stree.length h.entries in
   let entries = Stree.append ~measure:tentative h.entries entry in
@@ -185,10 +216,16 @@ let in_context_of (q : _ Request.t) e =
    window — is extracted, reordered and written back.  If the window
    contains no context entries (the common case: a remote request
    concurrent with the whole suffix), separation moves nothing and the
-   write-back is skipped entirely. *)
+   write-back is skipped entirely.  When [q] dominates the causal
+   summary the whole log is in its context and the O(H) prefix scan is
+   skipped too. *)
 let integrate q h =
   let n = Stree.length h.entries in
-  let p = Stree.prefix_length (in_context_of q) h.entries in
+  let p =
+    if Vclock.leq h.horizon q.Request.ctx && q.Request.policy_version >= h.cancel_max
+    then n
+    else Stree.prefix_length (in_context_of q) h.entries
+  in
   let entries, index, op =
     if p = n then (h.entries, h.index, q.Request.op)
     else begin
@@ -266,7 +303,7 @@ let undo ~cancel_version id h =
       in
       let cancel = canceller_of ~cancel_version e.req inv in
       let entries = Stree.append ~measure:tentative entries cancel in
-      Some (inv, { h with entries })
+      Some (inv, note_entry { h with entries } cancel)
 
 (* Rejecting a request = integrating it and undoing it on the spot: the
    request's cells enter the model (as tombstones, net visible effect
@@ -322,11 +359,8 @@ let compact ~stable ~stable_version h =
         (fun compacted e ->
           match e.role with
           | Normal ->
-            let site = e.req.Request.id.Request.site in
-            let serial = e.req.Request.id.Request.serial in
-            if Vclock.get compacted site < serial then
-              Vclock.merge compacted (Vclock.of_list [ (site, serial) ])
-            else compacted
+            Vclock.advance compacted e.req.Request.id.Request.site
+              e.req.Request.id.Request.serial
           | Canceller _ -> compacted)
         h.compacted dropped
     in
@@ -343,6 +377,7 @@ let compact ~stable ~stable_version h =
         (Stree.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:k ~len:(n - k))
     in
     {
+      h with
       entries = Stree.of_list ~measure:tentative rest;
       index;
       base = h.base + k;

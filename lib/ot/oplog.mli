@@ -46,7 +46,12 @@
     [T] tentative entries, and {!integrate}'s reorder + transform work
     touches only the {e concurrency window} — the log suffix after the
     longest prefix lying entirely in the remote request's causal
-    context, which SOCT2 separation would leave in place anyway.
+    context, which SOCT2 separation would leave in place anyway.  The log
+    also keeps a causal summary of its entries (per-site max serial,
+    max canceller policy version); a request whose context and policy
+    version dominate it has the whole log in its context, so {!integrate}
+    skips even the prefix scan.  The summary is derived state and is
+    never serialised.
     Canonization's [O(|Hdu|)] transposition count is inherent (Fig. 7),
     but the bubble is batched: the movable suffix is reordered in a flat
     array and written back in one [O(|Hdu| + log H)] range walk rather

@@ -10,6 +10,8 @@ let get c s = match M.find_opt s c with Some n -> n | None -> 0
 
 let tick c s = M.add s (get c s + 1) c
 
+let advance c s n = if get c s >= n then c else M.add s n c
+
 let merge a b = M.union (fun _ x y -> Some (max x y)) a b
 
 let meet a b =

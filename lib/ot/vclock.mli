@@ -19,6 +19,9 @@ val get : t -> site -> int
 val tick : t -> site -> t
 (** Increment [s]'s counter. *)
 
+val advance : t -> site -> int -> t
+(** [advance c s n]: [c] with [s]'s counter raised to at least [n]. *)
+
 val merge : t -> t -> t
 (** Pointwise maximum. *)
 

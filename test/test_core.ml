@@ -284,7 +284,7 @@ let admin_log_tests =
           "clean from v2" None
           (Admin_log.first_denial l ~from_version:2 ~user:s2 ~right:Right.Delete
              ~pos:(Some 0)));
-    Alcotest.test_case "restrictive_since filters" `Quick (fun () ->
+    Alcotest.test_case "first_denial skips permissive ops" `Quick (fun () ->
         let l = Admin_log.create ~admin:adm (all_rights_policy [ adm; s1 ]) in
         let l =
           List.fold_left
@@ -292,10 +292,17 @@ let admin_log_tests =
             l
             (mk_reqs [ Admin_op.Add_user 9; Admin_op.Del_user 9; Admin_op.Add_user 10 ])
         in
-        Alcotest.(check int) "one restrictive after v0" 1
-          (List.length (Admin_log.restrictive_since l 0));
-        Alcotest.(check int) "none after v2" 0
-          (List.length (Admin_log.restrictive_since l 2)));
+        let denial ~from user =
+          Admin_log.first_denial l ~from_version:from ~user ~right:Right.Insert
+            ~pos:(Some 0)
+        in
+        Alcotest.(check (option int)) "the one restrictive op after v0" (Some 2)
+          (denial ~from:1 9);
+        Alcotest.(check (option int)) "permissive ops deny nothing" None (denial ~from:0 s1);
+        Alcotest.(check (option int)) "none after v2" None (denial ~from:2 s1);
+        Alcotest.(check (option int)) "a grant added after v2" None (denial ~from:3 10);
+        Alcotest.(check (option int)) "denied at the start version" (Some 2)
+          (denial ~from:2 9));
   ]
 
 (* ----- Controller scenarios (paper Figs. 2-5) ----- *)
@@ -654,6 +661,186 @@ let session_tests =
         Alcotest.(check string) "insert still fine" "abc!" (Session.visible_string s adm));
   ]
 
+(* ----- Properties: the bounded receive path agrees with its references ----- *)
+
+let qtest ?(count = 300) name gen print prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)
+
+let rights = [ Right.Insert; Right.Delete; Right.Update ]
+
+(* a mix of restrictive and permissive requests; the ones that do not
+   apply (deleting a missing user, say) are skipped *)
+let admin_op_of (kind, (u, r)) =
+  match kind with
+  | 0 -> Admin_op.Add_auth (0, Auth.deny [ Subject.User u ] [ Docobj.Whole ] [ r ])
+  | 1 -> Admin_op.Add_auth (0, Auth.grant [ Subject.User u ] [ Docobj.Whole ] [ r ])
+  | 2 -> Admin_op.Del_auth 0
+  | 3 -> Admin_op.Del_user u
+  | 4 -> Admin_op.Add_user u
+  | _ -> Admin_op.Add_auth (0, Auth.grant [ Subject.Any ] [ Docobj.Whole ] [ r ])
+
+let build_admin_log ops =
+  List.fold_left
+    (fun l op ->
+      let r =
+        { Admin_op.admin = adm; version = Admin_log.version l + 1; op; ctx = Vclock.empty }
+      in
+      match Admin_log.append l r with Ok l -> l | Error _ -> l)
+    (Admin_log.create ~admin:adm (all_rights_policy [ adm; 1; 2; 3 ]))
+    ops
+
+(* the definition: the start version, then every later restrictive
+   version in ascending order *)
+let reference_denial l ~from_version ~user ~right ~pos =
+  let granted v =
+    match Admin_log.policy_at l v with
+    | Some p -> Policy.check p ~user ~right ~pos
+    | None -> false
+  in
+  if from_version > Admin_log.version l then None
+  else if not (granted from_version) then Some from_version
+  else
+    List.find_opt
+      (fun v ->
+        match Admin_log.request_at l v with
+        | Some r -> Admin_op.is_restrictive r.Admin_op.op && not (granted v)
+        | None -> false)
+      (List.init (Admin_log.version l - from_version) (fun i -> from_version + 1 + i))
+
+let first_denial_property =
+  qtest "first_denial agrees with the reference" ~count:1000
+    QCheck2.Gen.(
+      list_size (int_range 0 12) (pair (int_range 0 5) (pair (int_range 1 3) (oneofl rights)))
+      >>= fun ops ->
+      let l = build_admin_log (List.map admin_op_of ops) in
+      quad (return l)
+        (int_range (-1) (Admin_log.version l + 1))
+        (pair (int_range 1 3) (oneofl rights))
+        (oneofl [ None; Some 0; Some 7 ]))
+    (fun (l, from_version, (u, r), _) ->
+      Format.asprintf "%a@.from v%d, user %d, %a" Admin_log.pp l from_version u Right.pp r)
+    (fun (l, from_version, (user, right), pos) ->
+      Admin_log.first_denial l ~from_version ~user ~right ~pos
+      = reference_denial l ~from_version ~user ~right ~pos)
+
+(* ComputeFF by the book over the entry list: scan the whole log, move
+   every entry in [q]'s context before the concurrent ones by adjacent
+   transpositions, transform [q] against the concurrent rest, then
+   append and canonize. *)
+let reference_integrate (q : char Request.t) h =
+  let in_ctx (e : char Oplog.entry) =
+    match e.Oplog.role with
+    | Oplog.Normal ->
+      Vclock.dominates_event q.Request.ctx ~site:e.Oplog.req.Request.id.Request.site
+        ~count:e.Oplog.req.Request.id.Request.serial
+    | Oplog.Canceller t ->
+      Vclock.dominates_event q.Request.ctx ~site:t.Request.site ~count:t.Request.serial
+      && q.Request.policy_version >= e.Oplog.req.Request.policy_version
+  in
+  let with_op (e : char Oplog.entry) op = { e with Oplog.req = { e.Oplog.req with Request.op } } in
+  (* [c; e] -> [e'; c'] *)
+  let transpose (c : char Oplog.entry) (e : char Oplog.entry) =
+    let e_op = Transform.et e.Oplog.req.Request.op c.Oplog.req.Request.op in
+    (with_op e e_op, with_op c (Transform.it c.Oplog.req.Request.op e_op))
+  in
+  let past, conc =
+    List.fold_left
+      (fun (past, conc) e ->
+        if in_ctx e then
+          let e, conc =
+            List.fold_right
+              (fun c (e, acc) ->
+                let e, c = transpose c e in
+                (e, c :: acc))
+              conc (e, [])
+          in
+          (e :: past, conc)
+        else (past, conc @ [ e ]))
+      ([], []) (Oplog.entries h)
+  in
+  let op =
+    List.fold_left (fun op (c : char Oplog.entry) -> Transform.it op c.Oplog.req.Request.op)
+      q.Request.op conc
+  in
+  let separated = Oplog.of_entries ~compacted:(Oplog.compacted_upto h) (List.rev past @ conc) in
+  (op, Oplog.entries (Oplog.append_local { q with Request.op } separated))
+
+(* A random concurrent session over three controllers (site 0
+   administers, revoking and re-granting as it goes): the stream picks,
+   step by step, an edit at some site, an administrative request, or the
+   delivery of some in-flight message.  [check] sees every cooperative
+   request a site could integrate right now, with that site's log. *)
+let random_session ~check stream =
+  let policy = all_rights_policy [ adm; s1; s2 ] in
+  let sites =
+    Array.of_list
+      (List.map
+         (fun u -> C.create ~eq:Char.equal ~site:u ~admin:adm ~policy doc0)
+         [ adm; s1; s2 ])
+  in
+  let in_flight = ref [] in
+  let broadcast src m =
+    Array.iteri (fun j _ -> if j <> src then in_flight := !in_flight @ [ (j, m) ]) sites
+  in
+  let ok = ref true in
+  let deliver k =
+    let j, m = List.nth !in_flight k in
+    in_flight := List.filteri (fun i _ -> i <> k) !in_flight;
+    (match m with
+     | C.Coop q ->
+       let h = C.oplog sites.(j) in
+       if Oplog.causally_ready q h && not (Oplog.mem q.Request.id h) then
+         ok := !ok && check q h
+     | C.Admin _ -> ());
+    let c, out = C.receive sites.(j) m in
+    sites.(j) <- c;
+    List.iter (broadcast j) out
+  in
+  List.iter
+    (fun x ->
+      let pick n = x / 4 mod n in
+      match x mod 4 with
+      | 0 | 1 when !in_flight <> [] -> deliver (pick (List.length !in_flight))
+      | 3 -> (
+        match
+          C.admin_update sites.(0)
+            (admin_op_of
+               ( List.nth [ 0; 2; 5 ] (x / 4 mod 3),
+                 (1 + (x / 12 mod 2), List.nth rights (x / 24 mod 3)) ))
+        with
+        | Ok (c, m) ->
+          sites.(0) <- c;
+          broadcast 0 m
+        | Error _ -> ())
+      | _ -> (
+        let i = pick 3 in
+        let doc = C.document sites.(i) in
+        let n = Tdoc.visible_length doc in
+        let op =
+          if n = 0 || x / 12 mod 2 = 0 then
+            Tdoc.ins_visible doc (x / 24 mod (n + 1)) (Char.chr (97 + (x mod 26)))
+          else Tdoc.del_visible doc (x / 24 mod n)
+        in
+        match C.generate sites.(i) op with
+        | c, C.Accepted m ->
+          sites.(i) <- c;
+          broadcast i m
+        | _, C.Denied _ -> ()))
+    stream;
+  while !in_flight <> [] do
+    deliver 0
+  done;
+  !ok
+
+let integrate_property =
+  qtest "integrate's causal skip agrees with the full scan" ~count:300
+    QCheck2.Gen.(list_size (int_range 10 80) (int_range 0 1_000_000))
+    (fun stream -> String.concat ";" (List.map string_of_int stream))
+    (random_session ~check:(fun q h ->
+         let op, h' = Oplog.integrate q h in
+         let rop, rentries = reference_integrate q h in
+         Op.equal Char.equal op rop && Oplog.entries h' = rentries))
+
 let () =
   Alcotest.run "dce_core"
     [
@@ -662,7 +849,8 @@ let () =
       ("docobj", docobj_tests);
       ("auth", auth_tests);
       ("policy", policy_tests);
-      ("admin_log", admin_log_tests);
+      ("admin_log", admin_log_tests @ [ first_denial_property ]);
+      ("oplog", [ integrate_property ]);
       ( "scenarios",
         [
           Alcotest.test_case "Fig.2: concurrent revocation is enforced retroactively"

@@ -14,6 +14,7 @@ module Evloop = Dce_hub.Evloop
 module Doc_name = Dce_hub.Doc_name
 module Codec = Dce_wire.Codec
 module Proto = Dce_wire.Proto
+module Persist = Dce_store.Persist
 module Obs = Dce_obs
 
 (* ----- document names ----- *)
@@ -886,7 +887,79 @@ let snapshot_fallback_test () =
     ep1b.snapshots;
   List.iter (fun ep -> Netd.Client.close ep.client) eps
 
+(* ----- journaled hosting: compaction follows every checkpoint ----- *)
+
+let checkpoint_compaction_test () =
+  let snapshot_every = 16 in
+  let config = { Dce_store.Store.default_config with Dce_store.Store.snapshot_every } in
+  let disk = Dce_store.Io.Mem.create () in
+  let opendir () =
+    Persist.opendir ~config ~io:(Dce_store.Io.Mem.io disk) ~eq:Char.equal
+      ~codec:Proto.char_codec "main"
+  in
+  (* the editor is the session's only user and administers it, so each
+     of its edits is valid and stable as soon as the hub integrates it:
+     only the durability clamp holds compaction back *)
+  let factory _doc =
+    let policy =
+      Policy.make ~users:[ 0 ] [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+    in
+    let ctrl =
+      Controller.create ~eq:Char.equal ~site:relay_site ~admin:0 ~policy
+        ~trace:Obs.Trace.null (Tdoc.of_string "abc")
+    in
+    match opendir () with
+    | Error e -> Error e
+    | Ok (j, _) -> Result.map (fun () -> (ctrl, Some j)) (Persist.checkpoint j ctrl)
+  in
+  (* no stability tick within the test: only checkpoints compact *)
+  let hub =
+    Hub.create
+      ~config:{ Hub.default_config with Hub.compact_ms = 3_600_000 }
+      ~eq:Char.equal ~codec:Proto.char_codec ~factory ~docs:[ "main" ]
+      ~port:0 ()
+  in
+  let ep = mk_endpoint ~doc:"main" ~port:(Hub.port hub) ~site:0 () in
+  let hosted () = Hub.controller hub in
+  let window_max = ref 0 in
+  let integrated k () =
+    window_max := max !window_max (Controller.window_len (hosted ()));
+    Vclock.get (Controller.clock (hosted ())) 0 = k
+  in
+  (Fun.protect ~finally:(fun () ->
+       Hub.shutdown hub;
+       Netd.Client.close ep.client)
+   @@ fun () ->
+   require "joined" (pump_until [ hub ] [ ep ] (fun () -> ep.ctrl <> None));
+   (* stop mid-cadence, so recovery has a WAL suffix to replay *)
+   for k = 1 to (3 * snapshot_every) + (snapshot_every / 2) do
+     edit ep 0 (Char.chr (97 + (k mod 26)));
+     require "the hub integrates the edit" (pump_until [ hub ] [ ep ] (integrated k))
+   done;
+   Alcotest.(check bool)
+     (Printf.sprintf "hosted window (max %d) stays within snapshot_every" !window_max)
+     true
+     (!window_max <= snapshot_every);
+   Alcotest.(check bool) "the hub compacted" true
+     (Vclock.sum (Controller.compacted_upto (hosted ())) > 0));
+  let live = Proto.content_fingerprint Proto.char_codec (hosted ()) in
+  (* the hub dies without closing its journal; recovery replays it *)
+  Dce_store.Io.Mem.crash disk;
+  match opendir () with
+  | Error e -> Alcotest.failf "recovery failed: %s" e
+  | Ok (j, r) -> (
+    Persist.close j;
+    Alcotest.(check bool) "recovery replayed the WAL suffix" true (r.Persist.replayed > 0);
+    match r.Persist.controller with
+    | None -> Alcotest.fail "nothing recovered"
+    | Some c ->
+      Alcotest.(check string) "recovered replica matches the live one" live
+        (Proto.content_fingerprint Proto.char_codec c))
+
 let () =
+  (* like dced and every other socket-driving binary: a peer that hung
+     up must surface as EPIPE, not kill the test process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "dce_hub"
     [
       ("doc_name", doc_name_tests);
@@ -921,5 +994,8 @@ let () =
           Alcotest.test_case
             "resume behind the compaction cut falls back to a snapshot" `Quick
             snapshot_fallback_test;
+          Alcotest.test_case
+            "a journaled session compacts behind each checkpoint" `Quick
+            checkpoint_compaction_test;
         ] );
     ]

@@ -213,13 +213,14 @@ let remote_insert serial =
 let h_t1 = Obs.Metrics.histogram bench_metrics "bench.t1_ns"
 let h_t2 = Obs.Metrics.histogram bench_metrics "bench.t2_ns"
 
-let measure_t1 c =
-  median_ms ~hist:h_t1 (fun () ->
+let measure_t1 ?(hist = h_t1) c =
+  median_ms ~hist (fun () ->
       match C.generate c (Tdoc.ins_visible (C.document c) 0 'z') with
       | _, C.Accepted _ -> ()
       | _, C.Denied r -> failwith r)
 
-let measure_t2 c = median_ms ~hist:h_t2 (fun () -> C.receive c (C.Coop (remote_insert 1)))
+let measure_t2 ?(hist = h_t2) c =
+  median_ms ~hist (fun () -> C.receive c (C.Coop (remote_insert 1)))
 
 (* ----- core: engine scaling baseline -----
 
@@ -546,8 +547,13 @@ let run_fig7 () =
       let snaps = build_site ~ins_pct ~checkpoints:fig7_checkpoints in
       List.iter
         (fun (size, c) ->
-          let t1 = measure_t1 c in
-          let t2 = measure_t2 c in
+          (* one histogram per point, so BENCH_fig7.json keeps the curve *)
+          let hist t =
+            Obs.Metrics.histogram bench_metrics
+              (Printf.sprintf "fig7.%s_ns.ins%d.h%d" t ins_pct size)
+          in
+          let t1 = measure_t1 ~hist:(hist "t1") c in
+          let t2 = measure_t2 ~hist:(hist "t2") c in
           Printf.printf "%7d %8d %10.3f %10.3f %9.3f%s\n" ins_pct size t1 t2 (t1 +. t2)
             (flag (t1 +. t2)))
         snaps;

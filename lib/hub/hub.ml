@@ -726,7 +726,6 @@ let reap t =
 
 let step ?(timeout_ms = 0) t =
   if not t.stopped then begin
-    accept_all t;
     let read =
       t.listen_fd
       :: List.filter_map

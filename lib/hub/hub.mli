@@ -116,9 +116,12 @@ val healthz : ?max_lag:int -> 'e t -> unit -> Dce_obs.Json.t
     [max_lag] (default 100k events). *)
 
 val step : ?timeout_ms:int -> 'e t -> unit
-(** One event-loop turn over every session: accept, poll (via
-    {!Evloop.wait}, blocking at most [timeout_ms]), read and dispatch,
-    flush, pump the federation link, heartbeat, reap. *)
+(** One event-loop turn over every session: poll (via {!Evloop.wait},
+    blocking at most [timeout_ms]), accept if the listener is readable,
+    read and dispatch, flush what earlier short writes left queued, pump
+    the federation link, heartbeat, reap.  Sends write through
+    ({!Dce_netd.Conn.send}), so a frame relayed in this turn is already
+    on its way to the other members when the turn returns. *)
 
 val run : ?tick_ms:int -> ?on_tick:('e t -> unit) -> 'e t -> unit
 (** {!step} until {!shutdown}; [on_tick] runs once per loop turn

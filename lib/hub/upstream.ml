@@ -183,7 +183,6 @@ let go_live t fd =
   done;
   t.buffer_bytes <- 0;
   t.health <- Healthy;
-  Conn.handle_writable conn;
   t.phase <- Live conn;
   if t.was_live then M.incr t.tele.Tele.reconnects else M.incr t.tele.Tele.connects;
   t.was_live <- true;

@@ -186,7 +186,6 @@ let greet t fd =
       | None -> Relay_proto.Attach { doc; site = t.site })
   in
   Conn.send conn (Relay_proto.encode hello);
-  Conn.handle_writable conn;
   t.phase <- Greeting conn;
   [ Connected ]
 

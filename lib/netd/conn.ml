@@ -77,6 +77,49 @@ let outbox_bytes t = t.out_bytes
 
 let mark_closed t reason = if t.closed = None then t.closed <- Some reason
 
+let write_outbox t =
+  begin
+    let t0 = Dce_obs.Clock.now_ns () in
+    let wrote = ref 0 in
+    let continue = ref true in
+    while !continue && not (Queue.is_empty t.outbox) do
+      let head = Queue.peek t.outbox in
+      let len = String.length head - t.out_off in
+      match Unix.write_substring t.fd head t.out_off len with
+      | n ->
+        wrote := !wrote + n;
+        t.out_bytes <- t.out_bytes - n;
+        if n = len then begin
+          ignore (Queue.pop t.outbox);
+          t.out_off <- 0
+        end
+        else begin
+          t.out_off <- t.out_off + n;
+          continue := false (* kernel buffer is full; wait for poll *)
+        end
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        -> continue := false
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        (* writing into a connection the peer already slammed shut: a
+           disconnect, not an error (the process-level SIGPIPE must be
+           ignored for the write to surface as EPIPE at all) *)
+        mark_closed t Eof;
+        continue := false
+      | exception Unix.Unix_error (e, _, _) ->
+        mark_closed t (Socket_error (Unix.error_message e));
+        continue := false
+    done;
+    if !wrote > 0 then begin
+      M.add t.tele.Tele.bytes_out !wrote;
+      t.last_send_ms <- now_ms ();
+      M.observe t.tele.Tele.flush_ns (Dce_obs.Clock.now_ns () - t0)
+    end
+  end
+
+(* Queue a framed chunk behind whatever is already waiting.  With an
+   empty outbox the socket was writable last time we looked, so the
+   chunk goes straight to the kernel: a frame costs no extra poll round,
+   and only a short write leaves bytes behind for [wants_write]. *)
 let enqueue_framed t framed =
   if t.out_bytes + String.length framed > t.max_outbox then begin
     (* A peer that cannot drain its socket would otherwise grow our
@@ -86,9 +129,11 @@ let enqueue_framed t framed =
     mark_closed t Overflow
   end
   else begin
+    let idle = Queue.is_empty t.outbox in
     Queue.add framed t.outbox;
     t.out_bytes <- t.out_bytes + String.length framed;
-    M.incr t.tele.Tele.frames_out
+    M.incr t.tele.Tele.frames_out;
+    if idle && alive t then write_outbox t
   end
 
 (* Move fault-held frames whose release stamp has passed into the
@@ -190,45 +235,6 @@ let handle_readable t =
     | exception Unix.Unix_error (e, _, _) ->
       mark_closed t (Socket_error (Unix.error_message e));
       []
-
-let write_outbox t =
-  begin
-    let t0 = Dce_obs.Clock.now_ns () in
-    let wrote = ref 0 in
-    let continue = ref true in
-    while !continue && not (Queue.is_empty t.outbox) do
-      let head = Queue.peek t.outbox in
-      let len = String.length head - t.out_off in
-      match Unix.write_substring t.fd head t.out_off len with
-      | n ->
-        wrote := !wrote + n;
-        t.out_bytes <- t.out_bytes - n;
-        if n = len then begin
-          ignore (Queue.pop t.outbox);
-          t.out_off <- 0
-        end
-        else begin
-          t.out_off <- t.out_off + n;
-          continue := false (* kernel buffer is full; wait for select *)
-        end
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> continue := false
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        (* writing into a connection the peer already slammed shut: a
-           disconnect, not an error (the process-level SIGPIPE must be
-           ignored for the write to surface as EPIPE at all) *)
-        mark_closed t Eof;
-        continue := false
-      | exception Unix.Unix_error (e, _, _) ->
-        mark_closed t (Socket_error (Unix.error_message e));
-        continue := false
-    done;
-    if !wrote > 0 then begin
-      M.add t.tele.Tele.bytes_out !wrote;
-      t.last_send_ms <- now_ms ();
-      M.observe t.tele.Tele.flush_ns (Dce_obs.Clock.now_ns () - t0)
-    end
-  end
 
 let handle_writable t = if wants_write t then write_outbox t
 

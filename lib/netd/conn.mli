@@ -2,9 +2,15 @@
 
     Wraps a connected socket with a read-side {!Splitter} and a bounded
     write-side outbox of framed chunks.  Nothing here blocks: the owner
-    runs a [select] loop and calls {!handle_readable} /
-    {!handle_writable} when the kernel says the socket is ready; partial
-    reads and writes are the normal case and are resumed transparently.
+    runs a poll loop and calls {!handle_readable} / {!handle_writable}
+    when the kernel says the socket is ready; partial reads and writes
+    are the normal case and are resumed transparently.
+
+    Sends write through: a frame sent while nothing is queued goes to
+    the kernel in the same call, so the owner's loop needs no extra
+    round to learn that the socket is writable.  Only the bytes of a
+    short write wait in the outbox, and only then does {!wants_write}
+    ask for write readiness.
 
     A connection never raises on hostile input or socket trouble — it
     transitions to a closed state carrying a {!close_reason}, and the
@@ -47,8 +53,14 @@ val fd : t -> Unix.file_descr
 val peer : t -> string
 
 val send : t -> string -> unit
-(** Frame a payload and queue it.  May flip the connection into the
-    [Overflow] closed state instead; silently ignored once closed. *)
+(** Frame a payload and hand it to the kernel now if the outbox is
+    empty; otherwise, or for whatever a short write leaves over, queue
+    it behind the bytes already waiting, so frames leave in send order.
+    Under a {!Faults} plan the frame's fate is decided first: a held
+    (delayed or swapped) frame enters the outbox only when released,
+    and then goes the same way.  A write error marks the connection
+    closed ([Eof] for a peer that went away); so may [Overflow].
+    Silently ignored once closed. *)
 
 val handle_readable : t -> string list
 (** Read once and return every complete frame payload now available.
@@ -66,7 +78,9 @@ val flush : t -> unit
     the kernel does not accept immediately is dropped. *)
 
 val wants_write : t -> bool
-(** Whether to put this socket in the [select] write set. *)
+(** Whether to put this socket in the poll write set: true only while
+    bytes a short write could not hand over are queued (after releasing
+    any fault-held frames that are due, which write through too). *)
 
 val alive : t -> bool
 val closed_reason : t -> close_reason option

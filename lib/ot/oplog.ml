@@ -5,16 +5,28 @@ type 'e entry = { req : 'e Request.t; role : role }
 module Id_map = Map.Make (struct
   type t = int * int
 
-  let compare (a : t) b = compare a b
+  let compare ((s1, n1) : t) (s2, n2) =
+    let c = Int.compare s1 s2 in
+    if c <> 0 then c else Int.compare n1 n2
 end)
+
+(* Where an indexed entry sits, packed into an immediate int so the
+   index holds no boxed value per entry: [2p] at absolute position [p];
+   [2v + 1] inside the movable tail, at absolute position [v + shift]. *)
+let abs_slot a = a lsl 1
+
+let tail_slot v = (v lsl 1) lor 1
 
 (* Entries in execution order in a stat tree (measure: tentative normal
    entries, so the tentative set enumerates without scanning settled
-   entries), plus an id -> position index over normal entries.  Indexed
+   entries), plus an id -> slot index over normal entries.  Indexed
    positions are absolute — [base] counts entries dropped by compaction,
-   so the tree position of id is [index(id) - base] and compaction never
-   rewrites the index.  [compacted] is the per-site serial floor below
-   which entries have been compacted away.
+   so the tree position of id is its absolute position minus [base] and
+   compaction never rewrites the index.  [tail] is the length of the
+   maximal movable suffix; its entries hold tail slots, which [shift]
+   offsets, so an insertion bubbling past the whole tail moves them all
+   with one increment (see [tree_pos]).  [compacted] is the per-site
+   serial floor below which entries have been compacted away.
 
    [horizon] and [cancel_max] are a causal summary of the stored
    entries: the per-site max serial over normal entries and canceller
@@ -31,6 +43,8 @@ type 'e t = {
   compacted : Vclock.t;
   horizon : Vclock.t;
   cancel_max : int;
+  tail : int;
+  shift : int;
 }
 
 let tentative e =
@@ -40,10 +54,19 @@ let tentative e =
 
 let key (id : Request.id) = (id.Request.site, id.Request.serial)
 
-let index_set e pos index =
+let movable op = Op.is_del op || Op.is_undel op || Op.is_up op
+
+let index_set e slot index =
   match e.role with
-  | Normal -> Id_map.add (key e.req.Request.id) pos index
+  | Normal -> Id_map.add (key e.req.Request.id) slot index
   | Canceller _ -> index
+
+(* The slot for absolute position [a], given the tail starts at [tail_from]. *)
+let slot_at h ~tail_from a = if a >= tail_from then tail_slot (a - h.shift) else abs_slot a
+
+(* Tree position of an indexed slot. *)
+let tree_pos h slot =
+  (if slot land 1 = 0 then slot asr 1 else (slot asr 1) + h.shift) - h.base
 
 let note_entry h e =
   match e.role with
@@ -65,6 +88,8 @@ let empty =
     compacted = Vclock.empty;
     horizon = Vclock.empty;
     cancel_max = 0;
+    tail = 0;
+    shift = 0;
   }
 
 let length h = Stree.length h.entries
@@ -73,14 +98,23 @@ let live_length = length
 
 let entries h = Stree.to_list h.entries
 
+let tail_length h = h.tail
+
 let of_entries ~compacted entries =
   let tree = Stree.of_list ~measure:tentative entries in
+  let tail =
+    List.fold_left
+      (fun tail e -> if movable e.req.Request.op then tail + 1 else 0)
+      0 entries
+  in
+  let h = { empty with entries = tree; compacted; tail } in
+  let tail_from = Stree.length tree - tail in
   let index, _ =
     List.fold_left
-      (fun (index, i) e -> (index_set e i index, i + 1))
+      (fun (index, i) e -> (index_set e (slot_at h ~tail_from i) index, i + 1))
       (Id_map.empty, 0) entries
   in
-  List.fold_left note_entry { empty with entries = tree; index; compacted } entries
+  List.fold_left note_entry { h with index } entries
 
 let compacted_upto h = h.compacted
 
@@ -94,7 +128,7 @@ let ops h = List.map (fun e -> e.req.Request.op) (entries h)
 let find id h =
   match Id_map.find_opt (key id) h.index with
   | None -> None
-  | Some pos -> Some (Stree.get h.entries (pos - h.base)).req
+  | Some slot -> Some (Stree.get h.entries (tree_pos h slot)).req
 
 let mem id h =
   Vclock.dominates_event h.compacted ~site:id.Request.site ~count:id.Request.serial
@@ -103,11 +137,11 @@ let mem id h =
 let set_flag id flag h =
   match Id_map.find_opt (key id) h.index with
   | None -> h
-  | Some pos ->
+  | Some slot ->
     {
       h with
       entries =
-        Stree.update ~measure:tentative h.entries (pos - h.base) (fun e ->
+        Stree.update ~measure:tentative h.entries (tree_pos h slot) (fun e ->
             { e with req = { e.req with Request.flag } });
     }
 
@@ -137,57 +171,64 @@ let transpose a b =
   ( { b with req = { b.req with Request.op = b_op } },
     { a with req = { a.req with Request.op = a_op } } )
 
-(* Canonize: bubble the entry at the end of the log (an insertion)
-   backwards past the deletion/update entries before it, stopping at the
-   first insertion or Nop-carrying entry.  The bubble is batched: the
-   movable suffix is extracted once, transposed in a flat array, and
-   written back with a single {!Stree.set_range} walk — O(k + log H)
-   tree work for a bubble of extent [k], instead of two O(log H) tree
-   writes per transposition. *)
+(* Seal the tail: give its entries absolute slots again, before an
+   entry that no insertion may bubble past is appended behind it. *)
+let seal h =
+  if h.tail = 0 then h
+  else
+    let n = Stree.length h.entries in
+    let index, _ =
+      Stree.fold_range
+        (fun (index, a) e -> (index_set e (abs_slot a) index, a + 1))
+        (h.index, h.base + n - h.tail)
+        h.entries ~pos:(n - h.tail) ~len:h.tail
+    in
+    { h with index; tail = 0; shift = 0 }
+
+(* Append without canonizing: a movable entry extends the tail, any
+   other one seals it. *)
+let append_plain h e =
+  let a = h.base + Stree.length h.entries in
+  let entries = Stree.append ~measure:tentative h.entries e in
+  if movable e.req.Request.op then
+    { h with entries; index = index_set e (tail_slot (a - h.shift)) h.index; tail = h.tail + 1 }
+  else
+    let h = seal h in
+    { h with entries; index = index_set e (abs_slot a) h.index }
+
+(* Canonize: bubble an appended insertion backwards past the movable
+   tail.  Kinds survive transposition, so it always crosses the whole
+   tail.  The bubble is batched: the tail is extracted once, transposed
+   in a flat array and written back with a single {!Stree.set_range}
+   walk — O(k + log H) tree work for a tail of length [k] — and the
+   index work is O(log H): one slot for the insertion, one [shift] bump
+   for the tail. *)
 let append_entry_canonized h entry =
   let h = note_entry h entry in
-  let movable op = Op.is_del op || Op.is_undel op || Op.is_up op in
-  let pos = Stree.length h.entries in
-  let entries = Stree.append ~measure:tentative h.entries entry in
-  let index = index_set entry (h.base + pos) h.index in
-  if not (Op.is_ins entry.req.Request.op) then { h with entries; index }
+  if h.tail = 0 || not (Op.is_ins entry.req.Request.op) then append_plain h entry
   else begin
-    let k = ref 0 in
-    while
-      !k < pos && movable (Stree.get entries (pos - !k - 1)).req.Request.op
-    do
-      incr k
+    let k = h.tail in
+    let lo = Stree.length h.entries - k in
+    let window = Array.make (k + 1) entry in
+    let (_ : int) =
+      Stree.fold_range
+        (fun i e ->
+          window.(i) <- e;
+          i + 1)
+        0 h.entries ~pos:lo ~len:k
+    in
+    for i = k downto 1 do
+      let b', a' = transpose window.(i - 1) window.(i) in
+      window.(i - 1) <- b';
+      window.(i) <- a'
     done;
-    if !k = 0 then { h with entries; index }
-    else begin
-      let lo = pos - !k in
-      let w = !k + 1 in
-      let window = Array.make w entry in
-      let (_ : int) =
-        Stree.fold_range
-          (fun i e ->
-            window.(i) <- e;
-            i + 1)
-          0 entries ~pos:lo ~len:w
-      in
-      let i = ref (w - 1) in
-      while
-        !i > 0
-        && Op.is_ins window.(!i).req.Request.op
-        && movable window.(!i - 1).req.Request.op
-      do
-        let b', a' = transpose window.(!i - 1) window.(!i) in
-        window.(!i - 1) <- b';
-        window.(!i) <- a';
-        decr i
-      done;
-      let entries = Stree.set_range ~measure:tentative entries ~pos:lo window in
-      let index = ref index in
-      for j = 0 to w - 1 do
-        index := index_set window.(j) (h.base + lo + j) !index
-      done;
-      { h with entries; index = !index }
-    end
+    let entries = Stree.append ~measure:tentative h.entries entry in
+    {
+      h with
+      entries = Stree.set_range ~measure:tentative entries ~pos:lo window;
+      index = index_set window.(0) (abs_slot (h.base + lo)) h.index;
+      shift = h.shift + 1;
+    }
   end
 
 let append_local q h = append_entry_canonized h { req = q; role = Normal }
@@ -226,8 +267,8 @@ let integrate q h =
     then n
     else Stree.prefix_length (in_context_of q) h.entries
   in
-  let entries, index, op =
-    if p = n then (h.entries, h.index, q.Request.op)
+  let h, op =
+    if p = n then (h, q.Request.op)
     else begin
       let w = n - p in
       let window = Array.make w (Stree.get h.entries p) in
@@ -260,20 +301,34 @@ let integrate q h =
       for i = !boundary to w - 1 do
         op := Transform.it !op window.(i).req.Request.op
       done;
-      if !boundary = 0 then (h.entries, h.index, !op)
+      if !boundary = 0 then (h, !op)
       else begin
-        (* the window really was permuted: write it back in one walk *)
-        let entries = Stree.set_range ~measure:tentative h.entries ~pos:p window in
+        (* the window really was permuted: write it back in one walk.
+           Kinds survive transposition, so a window inside the tail
+           leaves the tail as it was; a wider one holds the whole tail
+           and its new extent is re-derived here. *)
+        let tail =
+          if h.tail >= w then h.tail
+          else begin
+            let t = ref 0 in
+            while !t < w && movable window.(w - 1 - !t).req.Request.op do
+              incr t
+            done;
+            !t
+          end
+        in
+        let tail_from = h.base + n - tail in
         let index = ref h.index in
         for i = 0 to w - 1 do
-          index := index_set window.(i) (h.base + p + i) !index
+          index := index_set window.(i) (slot_at h ~tail_from (h.base + p + i)) !index
         done;
-        (entries, !index, !op)
+        let entries = Stree.set_range ~measure:tentative h.entries ~pos:p window in
+        ({ h with entries; index = !index; tail }, !op)
       end
     end
   in
   let entry = { req = { q with Request.op }; role = Normal } in
-  (op, append_entry_canonized { h with entries; index } entry)
+  (op, append_entry_canonized h entry)
 
 let canceller_of ~cancel_version (q : 'e Request.t) op =
   {
@@ -285,8 +340,8 @@ let canceller_of ~cancel_version (q : 'e Request.t) op =
 let undo ~cancel_version id h =
   match Id_map.find_opt (key id) h.index with
   | None -> None
-  | Some pos ->
-    let i = pos - h.base in
+  | Some slot ->
+    let i = tree_pos h slot in
     let e = Stree.get h.entries i in
     if e.req.Request.flag = Request.Invalid then None
     else
@@ -302,8 +357,7 @@ let undo ~cancel_version id h =
           { e with req = { e.req with Request.flag = Request.Invalid } }
       in
       let cancel = canceller_of ~cancel_version e.req inv in
-      let entries = Stree.append ~measure:tentative entries cancel in
-      Some (inv, note_entry { h with entries } cancel)
+      Some (inv, append_plain (note_entry { h with entries } cancel) cancel)
 
 (* Rejecting a request = integrating it and undoing it on the spot: the
    request's cells enter the model (as tombstones, net visible effect
@@ -334,7 +388,8 @@ let is_canonical h =
 
 (* Compaction: drop the longest stable prefix (see the .mli for the
    soundness argument).  Positions in the id index are absolute, so only
-   the dropped ids leave the index — [base] absorbs the shift. *)
+   the dropped ids leave the index — [base] absorbs the shift — and a
+   tail reaching into the dropped prefix just gets shorter. *)
 let compact ~stable ~stable_version h =
   let droppable e =
     match e.role with
@@ -382,6 +437,7 @@ let compact ~stable ~stable_version h =
       index;
       base = h.base + k;
       compacted;
+      tail = min h.tail (n - k);
     }
 
 let pp pp_elt ppf h =

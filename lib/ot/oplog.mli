@@ -55,7 +55,21 @@
     Canonization's [O(|Hdu|)] transposition count is inherent (Fig. 7),
     but the bubble is batched: the movable suffix is reordered in a flat
     array and written back in one [O(|Hdu| + log H)] range walk rather
-    than per-swap tree writes. *)
+    than per-swap tree writes.
+
+    The log tracks the length of its {e tail}, the maximal movable
+    suffix: the deletion/undeletion/update entries after the last entry
+    of any other kind ({!tail_length}).  Transposition never changes an
+    operation's kind, so an appended insertion always bubbles past the
+    whole tail.  The index keeps tail entries in slots relative to the
+    tail, so the bubble moves all of them with one counter bump: index
+    work per canonization is [O(log H)], not [O(|Hdu| log H)].  The tail
+    is sealed (its slots made absolute again) when an entry that is
+    neither movable nor an insertion is appended — a [Nop] or an [Unup]
+    canceller.  Invariant, after every operation: {!find} answers each
+    normal entry's request from its actual position in {!entries}, and
+    {!tail_length} equals the maximal movable suffix of {!entries}.
+    None of this reaches {!entries}, encoders or fingerprints. *)
 
 type role = Normal | Canceller of Request.id
 
@@ -75,6 +89,10 @@ val entries : 'e t -> 'e entry list
 val of_entries : compacted:Vclock.t -> 'e entry list -> 'e t
 (** Rebuild a log from its parts (persistence tooling; see
     [Dce_wire]). *)
+
+val tail_length : _ t -> int
+(** Length of the maximal movable suffix: the deletion, undeletion and
+    update entries after the last entry of any other kind.  O(1). *)
 
 val requests : 'e t -> 'e Request.t list
 (** Normal (non-canceller) requests, in log order. *)

@@ -956,6 +956,36 @@ let checkpoint_compaction_test () =
       Alcotest.(check string) "recovered replica matches the live one" live
         (Proto.content_fingerprint Proto.char_codec c))
 
+(* ----- one poll round per relayed frame ----- *)
+
+(* Sends write through, so the hub step that reads a member's frame
+   also hands the relayed copy to the kernel: the other member must get
+   it with no second hub step. *)
+let one_step_relay_test () =
+  let hub = mk_hub () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let e0 = mk_endpoint ~doc:"main" ~port ~site:0 () in
+  let e1 = mk_endpoint ~doc:"main" ~port ~site:1 () in
+  let eps = [ e0; e1 ] in
+  require "both joined"
+    (pump_until [ hub ] eps (fun () ->
+         List.for_all (fun e -> e.ctrl <> None) eps
+         && Hub.connected_sites ~doc:"main" hub = [ 0; 1 ]));
+  let before = e0.got_msgs in
+  edit e1 0 'x';
+  ep_step e1;
+  Alcotest.(check int) "the editor's frame left at once" 0
+    (Netd.Client.outbox_bytes e1.client);
+  Evloop.sleep_ms 20;
+  Hub.step ~timeout_ms:1000 hub;
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while e0.got_msgs = before && Unix.gettimeofday () < deadline do
+    List.iter (on_event e0) (Netd.Client.step ~timeout_ms:10 e0.client)
+  done;
+  Alcotest.(check bool) "relayed by a single hub step" true (e0.got_msgs > before);
+  Alcotest.(check string) "and applied" "xabc" (doc_of e0)
+
 let () =
   (* like dced and every other socket-driving binary: a peer that hung
      up must surface as EPIPE, not kill the test process *)
@@ -974,6 +1004,8 @@ let () =
             `Quick interop_test;
           Alcotest.test_case "hostile attach frames drop the peer, not the hub"
             `Quick hostile_attach_test;
+          Alcotest.test_case "one hub step relays a member's frame" `Quick
+            one_step_relay_test;
         ] );
       ( "federation",
         [

@@ -300,6 +300,105 @@ let conn_tests =
         Conn.shutdown receiver);
   ]
 
+(* ----- write-through sends ----- *)
+
+let pair () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let tele = Tele.make () in
+  (tele, a, b)
+
+let write_through_tests =
+  [
+    Alcotest.test_case "send alone delivers on an idle socket" `Quick (fun () ->
+        let tele, a, b = pair () in
+        let sender = Conn.create ~tele ~peer:"tx" a in
+        let receiver = Conn.create ~tele ~peer:"rx" b in
+        Conn.send sender "hello";
+        Alcotest.(check int) "nothing queued" 0 (Conn.outbox_bytes sender);
+        Alcotest.(check bool) "no write interest" false (Conn.wants_write sender);
+        Alcotest.(check (list string)) "peer reads the frame" [ "hello" ]
+          (Conn.handle_readable receiver);
+        Conn.shutdown sender;
+        Conn.shutdown receiver);
+    Alcotest.test_case "a full kernel buffer queues, then drains in order" `Quick
+      (fun () ->
+        let tele, a, b = pair () in
+        let sender = Conn.create ~max_outbox:(32 * 1024 * 1024) ~tele ~peer:"tx" a in
+        let receiver = Conn.create ~tele ~peer:"rx" b in
+        let payloads =
+          List.init 200 (fun i -> Printf.sprintf "%04d" i ^ String.make 8192 'q')
+        in
+        (* the peer does not read while we send *)
+        List.iteri
+          (fun i p ->
+            Conn.send sender p;
+            if i = 0 then
+              Alcotest.(check int) "the first frame wrote through" 0
+                (Conn.outbox_bytes sender))
+          payloads;
+        Alcotest.(check bool) "the rest queued" true (Conn.outbox_bytes sender > 0);
+        Alcotest.(check bool) "and asks for write readiness" true
+          (Conn.wants_write sender);
+        let got = ref [] in
+        let rounds = ref 0 in
+        while List.length !got < 200 && !rounds < 100_000 do
+          incr rounds;
+          got := !got @ Conn.handle_readable receiver;
+          Conn.handle_writable sender
+        done;
+        Alcotest.(check bool) "FIFO order" true (!got = payloads);
+        Alcotest.(check bool) "drained" false (Conn.wants_write sender);
+        Conn.shutdown sender;
+        Conn.shutdown receiver);
+    Alcotest.test_case "a delayed frame waits for its stamp and keeps its place"
+      `Quick (fun () ->
+        (* every frame is delayed; a twin plan with the same seed and
+           label predicts each release stamp.  The fake clock steps by
+           1 ms at half-millisecond offsets, so stamps never tie. *)
+        let base = (Obs.Clock.now_ms () /. 1000.) +. 0.05 in
+        let now = ref base in
+        Obs.Clock.set_source (Some (fun () -> !now));
+        Fun.protect ~finally:(fun () -> Obs.Clock.set_source None) @@ fun () ->
+        let config = { Faults.none with Faults.delay = 1.0; delay_ms = 20 } in
+        let plan () = Faults.create ~config ~seed:7 ~label:"held" () in
+        let twin = plan () in
+        let tele, a, b = pair () in
+        let sender = Conn.create ~faults:(plan ()) ~tele ~peer:"tx" a in
+        let receiver = Conn.create ~tele ~peer:"rx" b in
+        let payloads = List.init 8 (Printf.sprintf "frame-%d") in
+        List.iter (Conn.send sender) payloads;
+        let delays =
+          List.map
+            (fun _ ->
+              match Faults.decide twin with
+              | Faults.Delay ms -> ms
+              | _ -> Alcotest.fail "expected a delay decision")
+            payloads
+        in
+        (* FIFO release: frame i leaves once every stamp up to i is due *)
+        let expected, _ =
+          List.fold_left
+            (fun (acc, m) ms -> (acc @ [ max m ms ], max m ms))
+            ([], 0) delays
+        in
+        let arrivals = ref [] in
+        for k = 0 to 25 do
+          now := base +. ((float_of_int k +. 0.5) /. 1000.);
+          ignore (Conn.wants_write sender);
+          Alcotest.(check int) "released frames wrote through" 0
+            (Conn.outbox_bytes sender);
+          List.iter
+            (fun p -> arrivals := !arrivals @ [ (p, k) ])
+            (Conn.handle_readable receiver)
+        done;
+        Alcotest.(check (list string)) "no frame overtakes a held one" payloads
+          (List.map fst !arrivals);
+        Alcotest.(check (list int)) "each leaves at its release stamp" expected
+          (List.map snd !arrivals);
+        Conn.shutdown sender;
+        Conn.shutdown receiver);
+  ]
+
 (* ----- loopback integration: 3 sites over real TCP ----- *)
 
 let relay_site = 1_000_000
@@ -792,7 +891,7 @@ let () =
       ("splitter", splitter_tests);
       ("backoff", backoff_tests);
       ("envelope", envelope_tests);
-      ("conn", conn_tests);
+      ("conn", conn_tests @ write_through_tests);
       ("client", client_tests);
       ( "loopback",
         [

@@ -900,6 +900,196 @@ let oplog_tests =
           (List.length (Oplog.tentative_requests h)));
   ]
 
+(* ----- Oplog index consistency ----- *)
+
+(* The id index and the tracked movable tail are derived state.  Random
+   three-site sessions check them against the entry list itself after
+   every step.  The sessions mix local edits, including deletion-only
+   runs that grow long tails, concurrent integration, rejection, undo
+   (an undone update's [Unup] canceller seals the tail) and compaction
+   behind the sessions' stable frontier. *)
+
+type isite = {
+  sid : int;
+  mutable h : char Oplog.t;
+  mutable d : char Tdoc.t;
+  mutable clock : Vclock.t;
+  mutable serial : int;
+  mutable append_only : bool;
+      (* built by local appends, movable cancellers and compaction only:
+         the histories [is_canonical] is promised for (see oplog.mli) *)
+}
+
+let movable_suffix es =
+  List.fold_left
+    (fun n (e : char Oplog.entry) ->
+      let op = e.Oplog.req.Request.op in
+      if Op.is_del op || Op.is_undel op || Op.is_up op then n + 1 else 0)
+    0 es
+
+let index_consistent s =
+  let es = Oplog.entries s.h in
+  let finds_ok h =
+    List.for_all
+      (fun (e : char Oplog.entry) ->
+        match e.Oplog.role with
+        | Oplog.Canceller _ -> true
+        | Oplog.Normal -> (
+          match Oplog.find e.Oplog.req.Request.id h with
+          | Some r -> r == e.Oplog.req
+          | None -> false))
+      es
+  in
+  let rebuilt = Oplog.of_entries ~compacted:(Oplog.compacted_upto s.h) es in
+  let tail = movable_suffix es in
+  finds_ok s.h && finds_ok rebuilt
+  && Oplog.tail_length s.h = tail
+  && Oplog.tail_length rebuilt = tail
+  && ((not s.append_only) || Oplog.is_canonical s.h)
+
+let index_session stream =
+  let sites =
+    Array.init 3 (fun i ->
+        {
+          sid = i + 1;
+          h = Oplog.empty;
+          d = Tdoc.of_string "abcdefgh";
+          clock = Vclock.empty;
+          serial = 0;
+          append_only = true;
+        })
+  in
+  let in_flight = ref [] in
+  let generate s op =
+    let op = Op.with_stamp ~site:s.sid ~stamp:(Vclock.sum s.clock + 1) op in
+    let serial = s.serial + 1 in
+    let q =
+      Request.make ~site:s.sid ~serial ~op ~ctx:s.clock ~policy_version:0
+        ~flag:Request.Valid ()
+    in
+    let q = Oplog.broadcast_form q s.h in
+    s.d <- Tdoc.apply s.d op;
+    s.h <- Oplog.append_local q s.h;
+    s.clock <- Vclock.tick s.clock s.sid;
+    s.serial <- serial;
+    Array.iteri (fun j _ -> if j <> s.sid - 1 then in_flight := !in_flight @ [ (j, q) ]) sites
+  in
+  let edit s ~ins x =
+    let n = Tdoc.visible_length s.d in
+    generate s
+      (if ins || n = 0 then Tdoc.ins_visible s.d (x mod (n + 1)) (Char.chr (97 + (x mod 26)))
+       else if x mod 3 = 0 then Tdoc.up_visible s.d (x mod n) (Char.chr (65 + (x mod 26)))
+       else Tdoc.del_visible s.d (x mod n))
+  in
+  let deliver k ~reject =
+    let j, (q : char Request.t) = List.nth !in_flight k in
+    let s = sites.(j) in
+    if Oplog.mem q.Request.id s.h then
+      in_flight := List.filteri (fun i _ -> i <> k) !in_flight
+    else if Oplog.causally_ready q s.h then begin
+      in_flight := List.filteri (fun i _ -> i <> k) !in_flight;
+      (if reject then begin
+         let (op, inv), h = Oplog.append_rejected ~cancel_version:1 q s.h in
+         s.d <- Tdoc.apply (Tdoc.apply s.d op) inv;
+         s.h <- h
+       end
+       else
+         let op, h = Oplog.integrate q s.h in
+         s.d <- Tdoc.apply s.d op;
+         s.h <- h);
+      s.clock <- Vclock.tick s.clock q.Request.id.Request.site;
+      s.append_only <- false
+    end
+  in
+  let undo s x =
+    match
+      List.filter (fun (r : char Request.t) -> r.Request.flag <> Request.Invalid)
+        (Oplog.requests s.h)
+    with
+    | [] -> ()
+    | live -> (
+      let r = List.nth live (x mod List.length live) in
+      match Oplog.undo ~cancel_version:1 r.Request.id s.h with
+      | None -> ()
+      | Some (inv, h) ->
+        s.d <- Tdoc.apply s.d inv;
+        s.h <- h;
+        if Op.is_up r.Request.op then s.append_only <- false)
+  in
+  let compact s =
+    (* stable: integrated everywhere and in every in-flight context *)
+    let stable =
+      List.fold_left
+        (fun acc (_, (q : char Request.t)) -> Vclock.meet acc q.Request.ctx)
+        (Array.fold_left (fun acc s' -> Vclock.meet acc s'.clock) sites.(0).clock sites)
+        !in_flight
+    in
+    s.h <- Oplog.compact ~stable ~stable_version:0 s.h
+  in
+  List.for_all
+    (fun x ->
+      let s = sites.(x / 10 mod 3) in
+      let y = x / 30 in
+      (match x mod 10 with
+       | 0 | 9 -> edit s ~ins:true y
+       | 1 | 2 | 3 ->
+         (* a deletion-only run *)
+         for i = 0 to y mod 8 do
+           edit s ~ins:false ((y / 8) + i)
+         done
+       | 4 | 5 | 6 when !in_flight <> [] ->
+         deliver (y mod List.length !in_flight) ~reject:(y mod 7 = 0)
+       | 7 -> undo s y
+       | 8 -> compact s
+       | _ -> ());
+      Array.for_all index_consistent sites)
+    stream
+
+let index_unit_tests =
+  [
+    Alcotest.test_case "a permuted window inside the tail keeps the tail" `Quick
+      (fun () ->
+        (* site 3 receives site 1's deletion run interleaved with site
+           2's concurrent deletion; integrating site 1's next deletion
+           permutes a window lying wholly inside the tail *)
+        let c l = Vclock.of_list l in
+        let reqs =
+          [
+            mk_req ~site:1 ~serial:1 ~ctx:(c []) (Op.ins 0 'x');
+            mk_req ~site:1 ~serial:2 ~ctx:(c [ (1, 1) ]) (Op.del 1 'a');
+            mk_req ~site:2 ~serial:1 ~ctx:(c [ (1, 1) ]) (Op.del 2 'b');
+            mk_req ~site:1 ~serial:3 ~ctx:(c [ (1, 2) ]) (Op.del 3 'c');
+            mk_req ~site:1 ~serial:4 ~ctx:(c [ (1, 3) ]) (Op.del 4 'd');
+            mk_req ~site:2 ~serial:2 ~ctx:(c [ (1, 1); (2, 1) ]) (Op.ins ~pr:2 0 'y');
+          ]
+        in
+        let s =
+          {
+            sid = 3;
+            h = Oplog.empty;
+            d = Tdoc.of_string "abcdef";
+            clock = Vclock.empty;
+            serial = 0;
+            append_only = false;
+          }
+        in
+        List.iteri
+          (fun i q ->
+            let op, h = Oplog.integrate q s.h in
+            s.d <- Tdoc.apply s.d op;
+            s.h <- h;
+            Alcotest.(check bool) (Printf.sprintf "consistent after %d" i) true
+              (index_consistent s))
+          reqs;
+        Alcotest.(check int) "tail of four deletions" 4 (Oplog.tail_length s.h));
+  ]
+
+let oplog_index_property =
+  qtest "index and tail stay consistent with the entries" ~count:500
+    QCheck2.Gen.(list_size (int_range 20 150) (int_range 0 1_000_000))
+    (fun stream -> String.concat ";" (List.map string_of_int stream))
+    index_session
+
 let () =
   Alcotest.run "dce_ot"
     [
@@ -919,7 +1109,7 @@ let () =
           ] );
       ("vclock", vclock_tests);
       ("cursor", cursor_tests);
-      ("oplog", oplog_tests);
+      ("oplog", oplog_tests @ index_unit_tests @ [ oplog_index_property ]);
       ( "engine",
         engine_unit_tests @ [ test_engine_convergence 2; test_engine_convergence 3 ] );
     ]

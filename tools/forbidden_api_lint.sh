@@ -60,7 +60,7 @@ old_ifs=$IFS
 IFS='
 '
 
-set -- $(grep -rn 'Unix\.select' lib bin test bench examples 2>/dev/null \
+set -- $(grep -rn 'Unix\.select' lib bin test bench perfbench examples 2>/dev/null \
   | grep -v '^lib/hub/evloop') || true
 report unix-select "$@"
 

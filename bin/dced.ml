@@ -16,7 +16,9 @@
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1 --doc notes
 
-   Old clients (no --doc) attach to the default document "main".
+   The first --docs name is the hub's default document ("main" unless
+   --docs says otherwise); p2pedit attaches to "main" when given no
+   --doc.
    Federation: a leaf hub relays a home hub's documents to its own
    members with
 
@@ -357,7 +359,7 @@ let docs_arg =
   Arg.(value & opt string "main"
        & info [ "docs" ] ~docv:"NAMES"
            ~doc:"Comma-separated document names to host (the first is the default \
-                 document old single-doc clients attach to).")
+                 document).")
 
 let auto_create =
   Arg.(value & flag

@@ -9,8 +9,9 @@
 
    With --connect the same tool becomes ONE site of a multi-process
    session hosted by a dced relay (see bin/dced.ml): this process runs
-   a single controller, joins from a snapshot, and exchanges messages
-   over real TCP.  Connect-mode commands drop the site column (you are
+   a single controller, joins from a snapshot (and resumes by delta
+   after a reconnect or a restart from --data-dir), and exchanges
+   messages over real TCP through Dce_netd.Replica.  Connect-mode commands drop the site column (you are
    the site) and add `sleep <ms>` to pump the network from scripts:
 
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1
@@ -235,50 +236,16 @@ module Netd = Dce_netd
 module Proto = Dce_wire.Proto
 
 type net_state = {
-  client : Netd.Client.t;
+  replica : char Netd.Replica.t;
   my_site : int;
-  sink : Obs.Trace.sink;
-  journal : char Dce_store.Persist.t option;
-  metrics : Obs.Metrics.t option;
   (* origin-stamp to integration latency of incoming stamped messages;
      points into a disabled registry when --metrics is off *)
   e2e_ns : Obs.Metrics.histogram;
-  mutable ctrl : char Controller.t option;
-  (* messages owed to the group (WAL-replay re-emissions) held until the
-     connection is live: Client.send drops anything sent earlier *)
-  mutable pending : char Controller.message list;
   mutable admin_srv : Netd.Admin.t option;
-  mutable last_compact_ms : float;
 }
 
-(* every outgoing message carries an origin stamp: receivers measure
-   end-to-end propagation from it, and it costs ~15 bytes *)
-let net_send st m =
-  Netd.Client.send st.client
-    (Proto.Char_proto.encode_message ~stamp:(Proto.stamp_now ~site:st.my_site ()) m)
-
-let journal_record st r =
-  match st.journal with
-  | None -> ()
-  | Some j -> (
-    Dce_store.Persist.record j r;
-    match st.ctrl with
-    | None -> ()
-    | Some c -> (
-      match Dce_store.Persist.maybe_checkpoint j c with
-      | Ok _ -> ()
-      | Error e -> Printf.printf "journal error: %s\n%!" e))
-
-let journal_checkpoint st =
-  match (st.journal, st.ctrl) with
-  | Some j, Some c -> (
-    match Dce_store.Persist.checkpoint j c with
-    | Ok () -> ()
-    | Error e -> Printf.printf "journal error: %s\n%!" e)
-  | _ -> ()
-
 let net_show st =
-  match st.ctrl with
+  match Netd.Replica.controller st.replica with
   | None -> Printf.printf "site %d: not joined yet\n%!" st.my_site
   | Some c ->
     Printf.printf "site %d%s: %S  (policy v%d%s)\n%!" st.my_site
@@ -290,148 +257,34 @@ let net_show st =
        | n -> Printf.sprintf ", %d tentative" n)
 
 let net_handle st = function
-  | Netd.Client.Connected ->
+  | Netd.Replica.Connected ->
     Printf.printf "connected; joining as site %d...\n%!" st.my_site
-  | Netd.Client.Snapshot blob -> (
-    match Proto.Char_proto.decode_state blob with
-    | Error e -> Printf.printf "bad snapshot: %s\n%!" e
-    | Ok state -> (
-      match Controller.load ~eq:Char.equal ~trace:st.sink ?metrics:st.metrics state with
-      | Error e -> Printf.printf "snapshot rejected: %s\n%!" e
-      | Ok donor ->
-        let to_send =
-          match st.ctrl with
-          | Some mine ->
-            (* we hold local state (journal recovery, or a previous
-               connection): keep it, replay the relay's history through
-               our own controller, and re-broadcast whatever the group
-               has not seen — the durable alternative to the lossy
-               [rejoin] *)
-            let mine, out = Controller.catch_up mine donor in
-            st.ctrl <- Some mine;
-            if out <> [] then
-              Printf.printf "caught up; re-broadcasting %d message(s)\n%!"
-                (List.length out);
-            out
-          | None ->
-            st.ctrl <- Some (Controller.rejoin ~site:st.my_site donor);
-            []
-        in
-        let to_send = to_send @ st.pending in
-        st.pending <- [];
-        List.iter (net_send st) to_send;
-        (* the catch-up inputs came from the snapshot, not the journal:
-           cut a checkpoint so the store reflects the merged state *)
-        journal_checkpoint st;
-        Netd.Client.set_stamp st.client (fun () ->
-            match st.ctrl with
-            | Some c -> (Controller.clock c, Controller.version c)
-            | None -> (Vclock.empty, 0));
-        net_show st))
-  | Netd.Client.Message blob -> (
-    match Proto.Char_proto.decode_message_stamped blob with
-    | Error e -> Printf.printf "bad message: %s\n%!" e
-    | Ok (stamp, m) -> (
-      match st.ctrl with
-      | None -> ()
-      | Some c -> (
-        (* the blob decoded, but applying it is what validates its
-           semantics — a buggy or hostile relay/peer must not abort
-           this process, so drop the message instead of propagating *)
-        match Controller.receive c m with
-        | c, emitted ->
-          st.ctrl <- Some c;
-          (match stamp with
-           | Some s ->
-             Obs.Metrics.observe st.e2e_ns (Obs.Clock.now_ns () - s.Proto.s_ns)
-           | None -> ());
-          journal_record st (Dce_store.Persist.Received m);
-          List.iter (net_send st) emitted
-        | exception e ->
-          let detail =
-            match e with
-            | Invalid_argument m | Failure m | Document.Edit_conflict m -> m
-            | e -> Printexc.to_string e
-          in
-          Printf.printf "bad message (dropped): %s\n%!" detail)))
-  | Netd.Client.Delta blob -> (
-    (* the relay honored our resume point: a log suffix instead of a full
-       snapshot.  Only ever sent when we presented local state, so a
-       missing controller here is a protocol violation worth reporting *)
-    match Proto.Char_proto.decode_delta blob with
-    | Error e -> Printf.printf "bad delta: %s\n%!" e
-    | Ok d -> (
-      match st.ctrl with
-      | None -> Printf.printf "delta without local state (dropped)\n%!"
-      | Some mine -> (
-        match Controller.apply_delta mine d with
-        | Error e -> Printf.printf "delta rejected: %s\n%!" e
-        | Ok (mine, out) ->
-          st.ctrl <- Some mine;
-          if out <> [] then
-            Printf.printf "caught up (delta); re-broadcasting %d message(s)\n%!"
-              (List.length out);
-          let to_send = out @ st.pending in
-          st.pending <- [];
-          List.iter (net_send st) to_send;
-          journal_checkpoint st;
-          Netd.Client.set_stamp st.client (fun () ->
-              match st.ctrl with
-              | Some c -> (Controller.clock c, Controller.version c)
-              | None -> (Vclock.empty, 0));
-          net_show st)))
-  | Netd.Client.Beacon blob -> (
-    match Proto.decode_frontier blob with
-    | Error _ -> () (* gossip is advisory; a bad blob costs nothing *)
-    | Ok entries -> (
-      match st.ctrl with
-      | None -> ()
-      | Some c ->
-        st.ctrl <-
-          Some
-            (List.fold_left
-               (fun c (b : Proto.beacon) ->
-                 Controller.receive_beacon c ~peer:b.Proto.b_site
-                   ~clock:b.Proto.b_clock ~version:b.Proto.b_version)
-               c entries)))
-  | Netd.Client.Disconnected reason -> Printf.printf "disconnected: %s\n%!" reason
-  | Netd.Client.Reconnecting { attempt; delay_ms } ->
+  | Netd.Replica.Joined { delta; rebroadcast } ->
+    if rebroadcast > 0 then
+      Printf.printf "caught up%s; re-broadcasting %d message(s)\n%!"
+        (if delta then " (delta)" else "")
+        rebroadcast;
+    net_show st
+  | Netd.Replica.Delivered stamp ->
+    Option.iter
+      (fun s -> Obs.Metrics.observe st.e2e_ns (Obs.Clock.now_ns () - s.Proto.s_ns))
+      stamp
+  | Netd.Replica.Failed e -> Printf.printf "%s\n%!" (Netd.Replica.error_to_string e)
+  | Netd.Replica.Disconnected reason -> Printf.printf "disconnected: %s\n%!" reason
+  | Netd.Replica.Reconnecting { attempt; delay_ms } ->
     Printf.printf "reconnecting (attempt %d) in %d ms\n%!" attempt delay_ms
-  | Netd.Client.Gave_up reason -> Printf.printf "gave up: %s\n%!" reason
-
-(* Periodic window compaction.  Journaled editors never let the
-   compaction cut outrun the durable snapshot: checkpoint first when the
-   stable frontier moved past the last cut, then clamp to it. *)
-let net_compact st =
-  match st.ctrl with
-  | None -> ()
-  | Some c -> (
-    match st.journal with
-    | None -> st.ctrl <- Some (Controller.compact c)
-    | Some j ->
-      (match Dce_store.Persist.checkpoint_clock j with
-       | Some cut when Vclock.leq (Controller.stable_frontier c) cut -> ()
-       | _ -> journal_checkpoint st);
-      (match Dce_store.Persist.checkpoint_clock j with
-       | Some limit -> st.ctrl <- Some (Controller.compact ~limit c)
-       | None -> ()))
-
-let compact_every_ms = 5_000.
+  | Netd.Replica.Gave_up reason -> Printf.printf "gave up: %s\n%!" reason
 
 let net_step st timeout_ms =
-  List.iter (net_handle st) (Netd.Client.step ~timeout_ms st.client);
-  let now = Obs.Clock.now_ms () in
-  if now -. st.last_compact_ms >= compact_every_ms then begin
-    st.last_compact_ms <- now;
-    net_compact st
-  end;
+  List.iter (net_handle st) (Netd.Replica.step ~timeout_ms st.replica);
   Option.iter Netd.Admin.step st.admin_srv
 
 let net_pump st ms =
   let deadline = Obs.Clock.now_ms () +. float_of_int ms in
   let rec go () =
     let remaining_ms = deadline -. Obs.Clock.now_ms () in
-    if remaining_ms > 0. && not (Netd.Client.stopped st.client) then begin
+    if remaining_ms > 0. && not (Netd.Client.stopped (Netd.Replica.client st.replica))
+    then begin
       net_step st (int_of_float (Float.min 50. remaining_ms));
       go ()
     end
@@ -439,31 +292,27 @@ let net_pump st ms =
   go ()
 
 let net_edit st op_of_ctrl =
-  match st.ctrl with
+  match Netd.Replica.controller st.replica with
   | None -> Printf.printf "not joined yet\n%!"
   | Some c -> (
-    let op = op_of_ctrl c in
-    match Controller.generate c op with
-    | c, Controller.Accepted m ->
-      st.ctrl <- Some c;
-      (* journal before broadcast: the group must never hold a request
-         its origin site could forget in a crash *)
-      journal_record st (Dce_store.Persist.Generated op);
-      net_send st m;
-      Printf.printf "site %d -> %S\n%!" st.my_site
-        (Tdoc.visible_string (Controller.document c))
-    | _, Controller.Denied reason -> Printf.printf "denied: %s\n%!" reason)
+    match Netd.Replica.generate st.replica (op_of_ctrl c) with
+    | Ok () ->
+      Option.iter
+        (fun c ->
+          Printf.printf "site %d -> %S\n%!" st.my_site
+            (Tdoc.visible_string (Controller.document c)))
+        (Netd.Replica.controller st.replica)
+    | Error reason -> Printf.printf "denied: %s\n%!" reason)
 
 let net_admin st op =
-  match st.ctrl with
+  match Netd.Replica.controller st.replica with
   | None -> Printf.printf "not joined yet\n%!"
-  | Some c -> (
-    match Controller.admin_update c op with
-    | Ok (c, m) ->
-      st.ctrl <- Some c;
-      journal_record st (Dce_store.Persist.Admin_cmd op);
-      net_send st m;
-      Printf.printf "admin -> policy v%d\n%!" (Controller.version c)
+  | Some _ -> (
+    match Netd.Replica.admin_update st.replica op with
+    | Ok () ->
+      Option.iter
+        (fun c -> Printf.printf "admin -> policy v%d\n%!" (Controller.version c))
+        (Netd.Replica.controller st.replica)
     | Error e -> Printf.printf "admin error: %s\n%!" e)
 
 let net_command st words =
@@ -497,11 +346,11 @@ let net_command st words =
       | None -> Printf.printf "unknown right %S (use i, d, u or r)\n%!" r)
   | [ "adduser"; u ] -> net_admin st (Admin_op.Add_user (int_of_string u))
   | [ "log" ] -> (
-      match st.ctrl with
+      match Netd.Replica.controller st.replica with
       | None -> Printf.printf "not joined yet\n%!"
       | Some c -> Format.printf "%a@." (Oplog.pp Fmt.char) (Controller.oplog c))
   | [ "policy" ] -> (
-      match st.ctrl with
+      match Netd.Replica.controller st.replica with
       | None -> Printf.printf "not joined yet\n%!"
       | Some c -> Format.printf "%a@." Policy.pp (Controller.policy c))
   | _ ->
@@ -513,9 +362,11 @@ let net_command st words =
    buffering the lines away between wakeups *)
 let net_session host port my_site doc sink metrics data_dir fsync admin_port seed
     chaos =
-  let journal, ctrl0, pending0 =
+  (* the recovery's re-emissions need no queue: they are this site's own
+     requests, and the catch-up at join re-broadcasts those the hub lacks *)
+  let journal, ctrl0 =
     match data_dir with
-    | None -> (None, None, [])
+    | None -> (None, None)
     | Some dir -> (
       let config = { Dce_store.Store.default_config with fsync } in
       match
@@ -538,9 +389,7 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
                   rec_.Dce_store.Persist.truncated_bytes
               else "")
          | None -> ());
-        ( Some j,
-          rec_.Dce_store.Persist.controller,
-          rec_.Dce_store.Persist.emitted ))
+        (Some j, rec_.Dce_store.Persist.controller))
   in
   (match ctrl0 with
    | Some c when Controller.site c <> my_site ->
@@ -553,15 +402,6 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
     | Some c, Some m -> Some (Controller.with_metrics m c)
     | _ -> ctrl0
   in
-  (* advertise recovered state on (re)connect so the relay can answer
-     with a cheap log-suffix delta instead of a full snapshot; reads
-     through a cell because the live controller is held by [st] below *)
-  let resume_src =
-    ref (fun () ->
-        match ctrl0 with
-        | Some c -> Some (Controller.clock c, Controller.version c)
-        | None -> None)
-  in
   let faults =
     Option.map
       (fun cfg ->
@@ -571,10 +411,8 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
       chaos
   in
   let client =
-    Netd.Client.create ?metrics ~trace:sink ~seed ?doc ?faults ~host ~port
-      ~site:my_site
-      ~resume:(fun () -> !resume_src ())
-      ()
+    Netd.Client.create ?metrics ~trace:sink ~seed ~doc ?faults ~host ~port
+      ~site:my_site ()
   in
   let e2e_ns =
     let reg =
@@ -582,32 +420,18 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
     in
     Obs.Metrics.histogram reg "e2e.propagation_ns"
   in
-  let st =
-    {
-      client;
-      my_site;
-      sink;
-      journal;
-      metrics;
-      e2e_ns;
-      ctrl = ctrl0;
-      pending = pending0;
-      admin_srv = None;
-      last_compact_ms = 0.;
-    }
+  let replica =
+    Netd.Replica.create ?journal ?ctrl:ctrl0 ~eq:Char.equal ~trace:sink ?metrics
+      ~codec:Proto.char_codec client
   in
-  resume_src :=
-    (fun () ->
-      match st.ctrl with
-      | Some c -> Some (Controller.clock c, Controller.version c)
-      | None -> None);
+  let st = { replica; my_site; e2e_ns; admin_srv = None } in
   st.admin_srv <-
     Option.map
       (fun p ->
         (* real health: a disconnected editor is degraded (the admin
            plane serves any not-"ok" status as a 503) *)
         let healthz () =
-          let connected = Netd.Client.connected st.client in
+          let connected = Netd.Client.connected client in
           Obs.Json.Obj
             ([
                ("status", Obs.Json.String (if connected then "ok" else "degraded"));
@@ -621,7 +445,7 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
             else [ ("reasons", Obs.Json.List [ Obs.Json.String "relay link down" ]) ])
         in
         let sessions () =
-          match st.ctrl with
+          match Netd.Replica.controller st.replica with
           | None -> Obs.Json.Obj [ ("joined", Obs.Json.Bool false) ]
           | Some c ->
             Obs.Json.Obj
@@ -649,10 +473,10 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
   let chunk = Bytes.create 4096 in
   let eof = ref false in
   (try
-     while not !eof && not (Netd.Client.stopped st.client) do
+     while not !eof && not (Netd.Client.stopped client) do
        let fds =
          Unix.stdin
-         :: ((match Netd.Client.fd st.client with Some fd -> [ fd ] | None -> [])
+         :: ((match Netd.Client.fd client with Some fd -> [ fd ] | None -> [])
              @ match st.admin_srv with Some a -> Netd.Admin.fds a | None -> [])
        in
        let rd, _, _ =
@@ -663,7 +487,7 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
         | Some m ->
           Obs.Metrics.set
             (Obs.Metrics.gauge m "netd.outbox_bytes")
-            (Netd.Client.outbox_bytes st.client)
+            (Netd.Client.outbox_bytes client)
         | None -> ());
        net_step st 0;
        if List.mem Unix.stdin rd then begin
@@ -693,12 +517,9 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
      done
    with Exit -> ());
   Option.iter Netd.Admin.close st.admin_srv;
-  Netd.Client.close st.client;
-  (match st.journal with
-   | None -> ()
-   | Some j ->
-     journal_checkpoint st;
-     Dce_store.Persist.close j);
+  (match Netd.Replica.close st.replica with
+   | Ok () -> ()
+   | Error e -> Printf.printf "%s\n%!" (Netd.Replica.error_to_string e));
   print_endline "final state:";
   net_show st
 
@@ -750,11 +571,6 @@ let run users text trace_file metrics_flag connect site_arg doc_arg data_dir fsy
     (match data_dir with
      | Some _ ->
        prerr_endline "p2pedit: --data-dir applies to connect mode (--connect)";
-       exit 2
-     | None -> ());
-    (match doc_arg with
-     | Some _ ->
-       prerr_endline "p2pedit: --doc applies to connect mode (--connect)";
        exit 2
      | None -> ());
     run_local users text trace_file metrics_flag
@@ -821,11 +637,10 @@ let site_arg =
            ~doc:"Site id to join as (with --connect; 0 is the administrator).")
 
 let doc_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt string "main"
        & info [ "doc" ] ~docv:"NAME"
-           ~doc:"With --connect: attach to the hub's document $(docv) (v2 wire \
-                 dialect).  Omitted, the client speaks the original single-doc \
-                 protocol and the hub attaches it to its default document.")
+           ~doc:"With --connect: attach to the hub's document $(docv).  The \
+                 default, $(b,main), is dced's default document.")
 
 let data_dir =
   Arg.(value & opt (some string) None

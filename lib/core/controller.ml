@@ -670,6 +670,14 @@ let receive t msg =
       in
       (note_levels t, msgs)
 
+(* The exceptions [receive] raises on semantically invalid input: a
+   position outside the document, a malformed operation, a conflicting
+   write.  Anything else is a bug and propagates. *)
+let try_receive t msg =
+  match receive t msg with
+  | r -> Ok r
+  | exception (Invalid_argument e | Failure e | Document.Edit_conflict e) -> Error e
+
 (* ----- reconnection by replay (the durable alternative to [rejoin]) ----- *)
 
 (* A stored request's broadcast form: the generation-context operation

@@ -186,6 +186,15 @@ val receive : 'e t -> 'e message -> 'e t * 'e message list
 (** Algorithms 3 and 4, reception side.  The returned messages (the
     administrator's validations) must be broadcast. *)
 
+val try_receive : 'e t -> 'e message -> ('e t * 'e message list, string) result
+(** {!receive} for untrusted input: a message that decoded but is
+    semantically invalid for this site — an operation outside the
+    document, a fabricated context, a conflicting write — makes
+    {!receive} raise [Invalid_argument], [Failure] or
+    [Dce_ot.Document.Edit_conflict]; those three, and only those, become
+    [Error] with their message.  Any other exception is a bug in this
+    library and propagates. *)
+
 (* {2 Persistence}
 
    A transparent dump of the full site state, for serialization

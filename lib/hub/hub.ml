@@ -41,7 +41,6 @@ let default_config =
    per-doc member lists used for fan-out live in the sessions. *)
 type conn_state = {
   conn : Conn.t;
-  mutable v1 : bool; (* greeted with the single-doc Hello *)
   mutable atts : (string * int) list; (* doc name -> site *)
 }
 
@@ -224,36 +223,31 @@ let outbox_bytes t =
 (* ------------------------------------------------------------------ *)
 (* Attach / fan-out                                                   *)
 
-(* [resume] is a v2 joiner's presented resume point.  When the hosted
-   log still covers it, the state transfer is a delta — the suffix the
+(* [resume] is a joiner's presented resume point.  When the hosted log
+   still covers it, the state transfer is a delta — the suffix the
    joiner lacks — instead of the full O(n x |H|) snapshot encode; when
    the log has compacted past it (or there is no resume point), the
    full snapshot is the sound fallback. *)
-let greeting_frames t s dialect doc ~resume =
+let greeting_frames t s doc ~resume =
   let ctrl = Session.controller s in
-  let relay_site = Controller.site ctrl in
-  let full () = Proto.encode_state t.codec (Controller.dump ctrl) in
-  match dialect with
-  | Session.V1 ->
-    [ Relay_proto.Welcome { relay_site; heartbeat_ms = t.cfg.heartbeat_ms };
-      Relay_proto.Snapshot (full ());
-    ]
-  | Session.V2 ->
-    let transfer =
-      match
-        Option.bind resume (fun (clock, version) ->
-            Controller.delta_since ctrl ~clock ~version)
-      with
-      | Some d ->
-        M.incr (M.counter t.reg "hub.deltas");
-        Relay_proto.Doc_delta { doc; delta = Proto.encode_delta t.codec d }
-      | None -> Relay_proto.Doc_snapshot { doc; state = full () }
-    in
-    [ Relay_proto.Attached { doc; relay_site; heartbeat_ms = t.cfg.heartbeat_ms };
-      transfer;
-    ]
+  let transfer =
+    match
+      Option.bind resume (fun (clock, version) ->
+          Controller.delta_since ctrl ~clock ~version)
+    with
+    | Some d ->
+      M.incr (M.counter t.reg "hub.deltas");
+      Relay_proto.Doc_delta { doc; delta = Proto.encode_delta t.codec d }
+    | None ->
+      Relay_proto.Doc_snapshot
+        { doc; state = Proto.encode_state t.codec (Controller.dump ctrl) }
+  in
+  [ Relay_proto.Attached
+      { doc; relay_site = Controller.site ctrl; heartbeat_ms = t.cfg.heartbeat_ms };
+    transfer;
+  ]
 
-let attach ?resume t cs ~dialect ~session:s ~site =
+let attach ?resume t cs ~session:s ~site =
   let doc = Session.name s in
   (* a site reconnecting through a fresh socket supersedes its old,
      possibly half-dead attachment; the old connection is closed once it
@@ -268,13 +262,13 @@ let attach ?resume t cs ~dialect ~session:s ~site =
       | None -> ())
    | _ -> ());
   cs.atts <- cs.atts @ [ (doc, site) ];
-  let again = Session.add_member s { Session.conn = cs.conn; site; dialect } in
+  let again = Session.add_member s { Session.conn = cs.conn; site } in
   M.incr t.tele.Tele.connects;
   if again then M.incr t.tele.Tele.reconnects;
   trace_s t s site (if again then "reconnect" else "connect") (Conn.peer cs.conn);
   List.iter
     (fun frame -> Conn.send cs.conn (Relay_proto.encode frame))
-    (greeting_frames t s dialect doc ~resume);
+    (greeting_frames t s doc ~resume);
   M.incr t.tele.Tele.snapshots;
   trace_s t s site "snapshot" "";
   update_doc_gauges t s
@@ -339,14 +333,13 @@ let journal_received t s m =
 
 let fan_frame s ~except ~origin bytes =
   let doc = Session.name s in
-  let v1 = lazy (Relay_proto.encode (Relay_proto.Msg bytes)) in
-  let v2 = lazy (Relay_proto.encode (Relay_proto.Doc_msg { doc; origin; msg = bytes })) in
+  let frame =
+    lazy (Relay_proto.encode (Relay_proto.Doc_msg { doc; origin; msg = bytes }))
+  in
   List.iter
     (fun (m : Session.member) ->
       let skip = match except with Some c -> m.Session.conn == c | None -> false in
-      if not skip then
-        Conn.send m.Session.conn
-          (Lazy.force (match m.Session.dialect with Session.V1 -> v1 | Session.V2 -> v2)))
+      if not skip then Conn.send m.Session.conn (Lazy.force frame))
     (Session.members s)
 
 let forward_up t ~from_upstream ~doc ~origin bytes =
@@ -355,10 +348,10 @@ let forward_up t ~from_upstream ~doc ~origin bytes =
   | _ -> ()
 
 (* Apply one replication frame to a session and propagate it: fan the
-   original bytes verbatim to the doc's other members (v1 members get
-   the bare [Msg] dialect), forward up the federation link unless the
-   frame came down it, and fan any validations the hosted controller
-   emitted.  [src = None] marks frames from upstream. *)
+   original bytes verbatim to the doc's other members, forward up the
+   federation link unless the frame came down it, and fan any
+   validations the hosted controller emitted.  [src = None] marks frames
+   from upstream. *)
 let route t ~session:s ~src ~origin ~from_upstream bytes =
   let doc = Session.name s in
   if t.cfg.hub_id <> 0 && origin = t.cfg.hub_id then
@@ -378,8 +371,8 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
          message is what checks its semantics.  A well-framed op with an
          out-of-range position or a fabricated serial/context must drop
          the peer, not the daemon — and must not be relayed. *)
-      match Controller.receive (Session.controller s) m with
-      | ctrl, emitted ->
+      match Controller.try_receive (Session.controller s) m with
+      | Ok (ctrl, emitted) ->
         Session.set_controller s ctrl;
         journal_received t s m;
         M.incr t.tele.Tele.relayed;
@@ -395,15 +388,10 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
                when the triggering frame came down *)
             forward_up t ~from_upstream:false ~doc ~origin:t.cfg.hub_id eb)
           emitted
-      | exception e ->
-        let detail =
-          match e with
-          | Invalid_argument m | Failure m | Dce_ot.Document.Edit_conflict m -> m
-          | e -> Printexc.to_string e
-        in
-        (match src with
-         | Some c -> Conn.mark_closed c (Conn.Corrupt ("rejected message: " ^ detail))
-         | None -> Option.iter (fun u -> Upstream.close u) t.upstream))
+      | Error detail -> (
+        match src with
+        | Some c -> Conn.mark_closed c (Conn.Corrupt ("rejected message: " ^ detail))
+        | None -> Option.iter (fun u -> Upstream.close u) t.upstream))
 
 (* ------------------------------------------------------------------ *)
 (* Member dispatch                                                    *)
@@ -432,23 +420,14 @@ let dispatch t cs payload =
   | Error e -> corrupt cs.conn ("bad envelope: " ^ e)
   | Ok msg -> (
     match msg with
-    | Relay_proto.Hello { site } ->
-      if cs.atts <> [] || cs.v1 then corrupt cs.conn "duplicate hello"
-      else (
-        cs.v1 <- true;
-        match open_for_attach t t.cfg.default_doc with
-        | Ok s -> attach t cs ~dialect:Session.V1 ~session:s ~site
-        | Error e -> corrupt cs.conn e)
     | Relay_proto.Attach { doc; site } ->
-      if cs.v1 then corrupt cs.conn "attach on a v1 connection"
-      else if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
+      if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
       else (
         match open_for_attach t doc with
-        | Ok s -> attach t cs ~dialect:Session.V2 ~session:s ~site
+        | Ok s -> attach t cs ~session:s ~site
         | Error e -> corrupt cs.conn e)
     | Relay_proto.Attach_at { doc; site; resume } ->
-      if cs.v1 then corrupt cs.conn "attach on a v1 connection"
-      else if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
+      if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
       else (
         match Proto.decode_frontier resume with
         | Error e -> corrupt cs.conn ("bad resume point: " ^ e)
@@ -468,56 +447,42 @@ let dispatch t cs payload =
                 Some (b.Proto.b_clock, b.Proto.b_version)
               | _ -> None (* malformed resume blob: serve the snapshot *)
             in
-            attach ?resume t cs ~dialect:Session.V2 ~session:s ~site
+            attach ?resume t cs ~session:s ~site
           | Error e -> corrupt cs.conn e))
     | Relay_proto.Beacon { doc; frontier } -> (
-      if cs.v1 then corrupt cs.conn "beacon on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("beacon for unattached document " ^ doc)
-        | true -> (
-          match Proto.decode_frontier frontier with
-          | Error e -> corrupt cs.conn ("bad frontier: " ^ e)
-          | Ok entries ->
-            let s = session t doc in
-            List.iter
-              (fun (b : Proto.beacon) ->
-                Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
-                  ~version:b.Proto.b_version)
-              entries))
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("beacon for unattached document " ^ doc)
+      | true -> (
+        match Proto.decode_frontier frontier with
+        | Error e -> corrupt cs.conn ("bad frontier: " ^ e)
+        | Ok entries ->
+          let s = session t doc in
+          List.iter
+            (fun (b : Proto.beacon) ->
+              Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
+                ~version:b.Proto.b_version)
+            entries))
     | Relay_proto.Detach { doc } -> (
-      if cs.v1 then corrupt cs.conn "detach on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("detach without attach: " ^ doc)
-        | true ->
-          cs.atts <- List.filter (fun (d, _) -> d <> doc) cs.atts;
-          (match Registry.find t.registry doc with
-           | Some s ->
-             ignore (Session.remove_conn s cs.conn);
-             (* a conn can re-attach later; sessions keep running *)
-             update_doc_gauges t s
-           | None -> ()))
-    | Relay_proto.Msg bytes -> (
-      match cs.atts with
-      | [ (doc, _site) ] when cs.v1 ->
-        route t ~session:(session t doc) ~src:(Some cs.conn) ~origin:0
-          ~from_upstream:false bytes
-      | _ when not cs.v1 -> corrupt cs.conn "single-doc message on a multi-doc connection"
-      | _ -> corrupt cs.conn "message before hello")
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("detach without attach: " ^ doc)
+      | true ->
+        cs.atts <- List.filter (fun (d, _) -> d <> doc) cs.atts;
+        (match Registry.find t.registry doc with
+         | Some s ->
+           ignore (Session.remove_conn s cs.conn);
+           (* a conn can re-attach later; sessions keep running *)
+           update_doc_gauges t s
+         | None -> ()))
     | Relay_proto.Doc_msg { doc; origin; msg } -> (
-      if cs.v1 then corrupt cs.conn "multi-doc message on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("message for unattached document " ^ doc)
-        | true ->
-          route t ~session:(session t doc) ~src:(Some cs.conn) ~origin
-            ~from_upstream:false msg)
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("message for unattached document " ^ doc)
+      | true ->
+        route t ~session:(session t doc) ~src:(Some cs.conn) ~origin ~from_upstream:false
+          msg)
     | Relay_proto.Ping -> Conn.send cs.conn (Relay_proto.encode Relay_proto.Pong)
     | Relay_proto.Pong -> ()
     | Relay_proto.Bye _ -> Conn.mark_closed cs.conn (Conn.Local "bye")
-    | Relay_proto.Welcome _ | Relay_proto.Snapshot _ | Relay_proto.Attached _
-    | Relay_proto.Doc_snapshot _ | Relay_proto.Doc_delta _ ->
+    | Relay_proto.Attached _ | Relay_proto.Doc_snapshot _ | Relay_proto.Doc_delta _ ->
       corrupt cs.conn "server-only envelope from a client")
 
 (* ------------------------------------------------------------------ *)
@@ -529,14 +494,10 @@ let dispatch t cs payload =
 let resync_members t s =
   let doc = Session.name s in
   let state = Proto.encode_state t.codec (Controller.dump (Session.controller s)) in
+  let frame = Relay_proto.encode (Relay_proto.Doc_snapshot { doc; state }) in
   List.iter
     (fun (m : Session.member) ->
-      let frame =
-        match m.Session.dialect with
-        | Session.V1 -> Relay_proto.Snapshot state
-        | Session.V2 -> Relay_proto.Doc_snapshot { doc; state }
-      in
-      Conn.send m.Session.conn (Relay_proto.encode frame);
+      Conn.send m.Session.conn frame;
       M.incr t.tele.Tele.snapshots)
     (Session.members s)
 
@@ -639,7 +600,7 @@ let rec accept_all t =
       Conn.create ~max_outbox:t.cfg.max_outbox ~max_frame:t.cfg.max_frame ?faults
         ~tele:t.tele ~peer fd
     in
-    t.conns <- t.conns @ [ { conn; v1 = false; atts = [] } ];
+    t.conns <- t.conns @ [ { conn; atts = [] } ];
     accept_all t
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
 
@@ -659,7 +620,7 @@ let heartbeats t =
 (* Stability protocol: beacon fan-out and the compaction tick        *)
 
 (* Fan the per-doc aggregate frontier — every member's latest
-   advertisement plus the hub's own — to v2 members and up the
+   advertisement plus the hub's own — to members and up the
    federation link.  Gossip converges because [note_frontier] merges
    monotonically at every hop; echoes (the home fanning our own report
    back) are idempotent no-ops. *)
@@ -675,12 +636,9 @@ let beacon_session t s =
   in
   let doc = Session.name s in
   let blob = Proto.encode_frontier entries in
-  let frame = lazy (Relay_proto.encode (Relay_proto.Beacon { doc; frontier = blob })) in
+  let frame = Relay_proto.encode (Relay_proto.Beacon { doc; frontier = blob }) in
   List.iter
-    (fun (m : Session.member) ->
-      match m.Session.dialect with
-      | Session.V2 -> Conn.send m.Session.conn (Lazy.force frame)
-      | Session.V1 -> () (* a v1 peer would drop the unknown tag *))
+    (fun (m : Session.member) -> Conn.send m.Session.conn frame)
     (Session.members s);
   Option.iter (fun u -> Upstream.send_beacon u ~doc blob) t.upstream
 

@@ -3,15 +3,16 @@
     Where the old single-session relay owned one controller and a flat
     connection list, a hub owns a {!Registry} of named {!Session}s and a
     set of multiplexed connections, stepped together from one
-    {!Evloop}-based loop that tolerates thousands of fds.  Per
-    connection the wire dialect is fixed by the greeting: a v1 [Hello]
-    attaches the peer to the hub's default document and speaks bare
-    [Msg]/[Snapshot] frames (full backward compatibility with old
-    clients), a v2 [Attach] speaks [Doc_msg]/[Doc_snapshot] and may
-    attach the same socket to any number of documents.
+    {!Evloop}-based loop that tolerates thousands of fds.  A connection
+    speaks {!Dce_netd.Relay_proto}: it opens with [Attach] (or
+    [Attach_at]) and may attach the same socket to any number of
+    documents.  An undecodable frame, or a document frame for a
+    document the connection has not attached, drops the peer as
+    [Corrupt].
 
     Replication per document is the relay discipline unchanged: apply
-    to the hosted controller first (semantically invalid input drops
+    to the hosted controller first through
+    {!Dce_core.Controller.try_receive} (semantically invalid input drops
     the peer as [Corrupt], and is never relayed), journal before any
     external effect, then fan the original bytes verbatim to the
     document's other members.
@@ -30,14 +31,17 @@ type config = {
   max_outbox : int;
   max_frame : int;
   hub_id : int;  (** 0 = standalone; federation requires nonzero *)
-  default_doc : string;  (** what a v1 [Hello] attaches to *)
+  default_doc : string;
+      (** always open for [Attach], even without [auto_create]; the
+          document {!controller} and friends address when [?doc] is
+          omitted *)
   auto_create : bool;
       (** open unknown docs on [Attach] via the factory; off, an
           unknown name drops the peer as [Corrupt] *)
   max_docs : int;  (** registry bound, see {!Registry.create} *)
   beacon_ms : int;
       (** cadence of the per-doc aggregate stability [Beacon] fanned to
-          v2 members and reported up the federation link *)
+          members and reported up the federation link *)
   compact_ms : int;
       (** cadence of automatic {!Dce_core.Controller.compact} on every
           hosted session; journaled sessions checkpoint first so the

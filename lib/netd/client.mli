@@ -1,15 +1,18 @@
 (** A site's connection to the relay, with automatic reconnection.
 
     The client owns the transport only; the session logic stays with the
-    caller, which holds the controller.  The lifecycle surfaces as
-    {!event}s returned from {!step}:
+    caller, which holds the controller — {!Replica} is the one driver
+    that does.  The lifecycle surfaces as {!event}s returned from
+    {!step}:
 
-    - [Connected]: TCP is up and the [Hello] went out;
-    - [Snapshot blob]: the relay's state transfer — decode it with
-      [Proto.decode_state], load it, and {!Dce_core.Controller.rejoin}
-      as your own site.  Emitted on every (re)join: reconnection is a
-      resynchronization, not a resumption, because the relay has no way
-      to know which fan-outs a dead socket actually delivered;
+    - [Connected]: TCP is up and the [Attach] (or, with a resume point,
+      [Attach_at]) went out;
+    - [Snapshot blob]: the relay's full state transfer — decode it with
+      [Proto.decode_state] and load it; a site with no local state joins
+      with {!Dce_core.Controller.rejoin}, a site with local state merges
+      it with {!Dce_core.Controller.catch_up}.  Emitted on a (re)join
+      that presented no resume point, or one the relay's log no longer
+      covers;
     - [Message blob]: a [Proto.encode_message] blob from another site;
     - [Disconnected] / [Reconnecting]: the link dropped (any reason:
       EOF, idle, corruption, backpressure) and a jittered exponential
@@ -63,7 +66,7 @@ val create :
   ?metrics:Dce_obs.Metrics.t ->
   ?trace:Dce_obs.Trace.sink ->
   ?seed:int ->
-  ?doc:string ->
+  doc:string ->
   ?resume:(unit -> (Dce_ot.Vclock.t * int) option) ->
   ?faults:Faults.t ->
   host:string ->
@@ -72,13 +75,11 @@ val create :
   unit ->
   t
 (** Does not touch the network; the first {!step} starts connecting.
-    [seed] fixes the backoff jitter (tests).  [doc] selects the wire
-    dialect: omitted, the client greets with the v1 [Hello] and the hub
-    attaches it to its default document; given, it greets with the v2
-    [Attach doc] and exchanges [Doc_msg]/[Doc_snapshot] frames for that
-    document.  Either way the {!event} surface is identical.
+    [seed] fixes the backoff jitter (tests).  The client attaches to the
+    hub's document [doc] and exchanges [Doc_msg]/[Doc_snapshot] frames
+    for it.
 
-    [resume] (v2 only) is consulted at every (re)connect: return the
+    [resume] is consulted at every (re)connect: return the
     local controller's clock and policy version to request a [Delta]
     instead of a full snapshot — the hub still answers [Snapshot] if its
     log is compacted past that point.  Return [None] (the default) when
@@ -89,9 +90,8 @@ val create :
 
 val site : t -> int
 
-val doc : t -> string option
-(** The document requested at {!create} ([None] = the v1 dialect on the
-    hub's default document). *)
+val doc : t -> string
+(** The document requested at {!create}. *)
 
 val step : ?timeout_ms:int -> t -> event list
 (** Advance the state machine: progress the non-blocking connect, read,
@@ -99,9 +99,9 @@ val step : ?timeout_ms:int -> t -> event list
 
 val send : t -> string -> unit
 (** Queue a [Proto.encode_message] blob for the relay to fan out.
-    Dropped unless the session is live — locally generated requests
-    issued while disconnected cannot reach anyone and are superseded by
-    the snapshot on rejoin. *)
+    Dropped unless the session is live — hold what is owed until then
+    ({!Replica} does), or let the re-broadcast of the next catch-up
+    carry it. *)
 
 val connected : t -> bool
 (** Live: the snapshot has been received. *)
@@ -121,14 +121,18 @@ val fd : t -> Unix.file_descr option
 val set_stamp : t -> (unit -> Dce_ot.Vclock.t * int) -> unit
 (** How to stamp this client's [Net] trace events with a vector clock
     and policy version — point it at the live controller so traces stay
-    causally auditable.  On v2 sessions the same source feeds the
-    periodic stability beacon (sent on the heartbeat cadence, even when
-    idle, so the rest of the group can compact past this site). *)
+    causally auditable.  The same source feeds the periodic stability
+    beacon (sent on the heartbeat cadence, even when idle, so the rest
+    of the group can compact past this site). *)
+
+val set_resume : t -> (unit -> (Dce_ot.Vclock.t * int) option) -> unit
+(** Replace {!create}'s [resume] source — point it at the live
+    controller once one exists, so every reconnect resumes by delta. *)
 
 val drop_link : ?reason:string -> t -> unit
 (** Sever the live connection as if the network cut it (no [Bye]); the
-    normal reconnect path runs on the next {!step} and the rejoin
-    snapshot heals the session.  Chaos harnesses use this as the heal
+    normal reconnect path runs on the next {!step} and its state
+    transfer heals the session.  Chaos harnesses use this as the heal
     point of a simulated partition.  No-op when not connected. *)
 
 val close : t -> unit

@@ -1,9 +1,10 @@
 (* Tests for the multi-document hub: document-name hygiene, the
    poll-based event loop (including the select() FD_SETSIZE cliff it
    exists to avoid), multi-doc isolation over real TCP, raw-socket
-   multiplexing with attach/detach, v1/v2 interop on the default
-   document, hostile attach frames, and two-hub federation with a late
-   joiner snapshotting from the leaf. *)
+   multiplexing with attach/detach, hostile attach frames, two-hub
+   federation with a late joiner snapshotting from the leaf, and the
+   stability plane: delta resume, snapshot fallback, and a journaled
+   editor killed and restarted from its journal. *)
 
 open Dce_ot
 open Dce_core
@@ -125,8 +126,8 @@ let mk_controller ~site text =
   Controller.create ~eq:Char.equal ~site ~admin:0 ~policy ~trace:Obs.Trace.null
     (Tdoc.of_string text)
 
-let mk_hub ?metrics ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream ?(auto_create = false)
-    ?beacon_ms ?compact_ms ?(port = 0) () =
+let mk_hub ?metrics ?trace ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream
+    ?(auto_create = false) ?beacon_ms ?compact_ms ?(port = 0) () =
   let config = { Hub.default_config with Hub.hub_id; auto_create } in
   let config =
     match beacon_ms with None -> config | Some b -> { config with Hub.beacon_ms = b }
@@ -134,86 +135,46 @@ let mk_hub ?metrics ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream ?(auto_create =
   let config =
     match compact_ms with None -> config | Some c -> { config with Hub.compact_ms = c }
   in
-  Hub.create ~config ?metrics ?upstream ~codec:Proto.char_codec
+  Hub.create ~config ?metrics ?trace ?upstream ~codec:Proto.char_codec
     ~factory:(fun _doc -> Ok (mk_controller ~site:(relay_site + hub_id) "abc", None))
     ~docs ~port ()
 
 type endpoint = {
-  client : Netd.Client.t;
+  r : char Netd.Replica.t;
   site : int;
-  mutable ctrl : char Controller.t option;
-  mutable snapshots : int;
+  journal : char Persist.t option;
+  mutable snapshots : int; (* joins by full state transfer *)
+  mutable rebroadcasts : int list; (* per join, newest first *)
   mutable got_msgs : int;
 }
 
-let on_event ep = function
-  | Netd.Client.Snapshot blob -> (
-    match Proto.Char_proto.decode_state blob with
-    | Error e -> Alcotest.failf "site %d: bad snapshot: %s" ep.site e
-    | Ok state -> (
-      match Controller.load ~eq:Char.equal state with
-      | Error e -> Alcotest.failf "site %d: snapshot rejected: %s" ep.site e
-      | Ok donor ->
-        ep.snapshots <- ep.snapshots + 1;
-        (match ep.ctrl with
-         | None -> ep.ctrl <- Some (Controller.rejoin ~site:ep.site donor)
-         | Some mine ->
-           (* a mid-session resync (e.g. after a federation heal): keep
-              local state and re-broadcast what the group lacks, like
-              p2pedit does *)
-           let mine, out = Controller.catch_up mine donor in
-           ep.ctrl <- Some mine;
-           List.iter
-             (fun m ->
-               Netd.Client.send ep.client (Proto.Char_proto.encode_message m))
-             out)))
-  | Netd.Client.Message blob -> (
-    match Proto.Char_proto.decode_message blob with
-    | Error e -> Alcotest.failf "site %d: bad message: %s" ep.site e
-    | Ok m ->
-      ep.got_msgs <- ep.got_msgs + 1;
-      let c = Option.get ep.ctrl in
-      let c, emitted = Controller.receive c m in
-      ep.ctrl <- Some c;
-      List.iter
-        (fun m' -> Netd.Client.send ep.client (Proto.Char_proto.encode_message m'))
-        emitted)
-  | Netd.Client.Beacon blob -> (
-    (* absorb the hub's aggregate gossip like a real editor would *)
-    match Proto.decode_frontier blob with
-    | Error e -> Alcotest.failf "site %d: bad frontier: %s" ep.site e
-    | Ok entries -> (
-      match ep.ctrl with
-      | None -> ()
-      | Some c ->
-        ep.ctrl <-
-          Some
-            (List.fold_left
-               (fun c (b : Proto.beacon) ->
-                 Controller.receive_beacon c ~peer:b.Proto.b_site
-                   ~clock:b.Proto.b_clock ~version:b.Proto.b_version)
-               c entries)))
-  | Netd.Client.Delta blob -> (
-    match Proto.Char_proto.decode_delta blob with
-    | Error e -> Alcotest.failf "site %d: bad delta: %s" ep.site e
-    | Ok d -> (
-      match ep.ctrl with
-      | None -> Alcotest.failf "site %d: delta before any local state" ep.site
-      | Some mine -> (
-        match Controller.apply_delta mine d with
-        | Error e -> Alcotest.failf "site %d: delta rejected: %s" ep.site e
-        | Ok (mine, out) ->
-          ep.snapshots <- ep.snapshots + 1;
-          ep.ctrl <- Some mine;
-          List.iter
-            (fun m ->
-              Netd.Client.send ep.client (Proto.Char_proto.encode_message m))
-            out)))
-  | Netd.Client.Connected | Netd.Client.Disconnected _ | Netd.Client.Reconnecting _ ->
-    ()
-  | Netd.Client.Gave_up reason -> Alcotest.failf "site %d gave up: %s" ep.site reason
+let ctrl ep = Netd.Replica.controller ep.r
+let client ep = Netd.Replica.client ep.r
 
-let mk_endpoint ?doc ?heartbeat_ms ?resume ~port ~site () =
+let on_event ep = function
+  | Netd.Replica.Joined { delta; rebroadcast } ->
+    if not delta then ep.snapshots <- ep.snapshots + 1;
+    ep.rebroadcasts <- rebroadcast :: ep.rebroadcasts
+  | Netd.Replica.Delivered _ -> ep.got_msgs <- ep.got_msgs + 1
+  | Netd.Replica.Failed e ->
+    Alcotest.failf "site %d: %s" ep.site (Netd.Replica.error_to_string e)
+  | Netd.Replica.Gave_up reason -> Alcotest.failf "site %d gave up: %s" ep.site reason
+  | Netd.Replica.Connected | Netd.Replica.Disconnected _ | Netd.Replica.Reconnecting _ ->
+    ()
+
+(* A journaled replica never compacts past its durable cut. *)
+let check_clamp ep =
+  match (ep.journal, ctrl ep) with
+  | Some j, Some c ->
+    let ok =
+      match Persist.checkpoint_clock j with
+      | Some cut -> Vclock.leq (Controller.compacted_upto c) cut
+      | None -> Vclock.sum (Controller.compacted_upto c) = 0
+    in
+    if not ok then Alcotest.failf "site %d compacted past its checkpoint" ep.site
+  | _ -> ()
+
+let mk_endpoint ?(doc = "main") ?heartbeat_ms ?faults ?journal ?ctrl ~port ~site () =
   let config =
     {
       Netd.Client.default_config with
@@ -227,26 +188,21 @@ let mk_endpoint ?doc ?heartbeat_ms ?resume ~port ~site () =
     | None -> config
     | Some h -> { config with Netd.Client.heartbeat_ms = h }
   in
-  let ep =
-    {
-      client =
-        Netd.Client.create ~config ~seed:site ?doc ?resume ~host:"127.0.0.1" ~port
-          ~site ();
-      site;
-      ctrl = None;
-      snapshots = 0;
-      got_msgs = 0;
-    }
+  let client =
+    Netd.Client.create ~config ~seed:site ~doc ?faults ~host:"127.0.0.1" ~port ~site ()
   in
-  (* stamp traces — and, on v2, the periodic stability beacon — from the
-     live controller once one exists *)
-  Netd.Client.set_stamp ep.client (fun () ->
-      match ep.ctrl with
-      | Some c -> (Controller.clock c, Controller.version c)
-      | None -> (Dce_ot.Vclock.empty, 0));
-  ep
+  {
+    r = Netd.Replica.create ?journal ?ctrl ~eq:Char.equal ~codec:Proto.char_codec client;
+    site;
+    journal;
+    snapshots = 0;
+    rebroadcasts = [];
+    got_msgs = 0;
+  }
 
-let ep_step ep = List.iter (on_event ep) (Netd.Client.step ~timeout_ms:0 ep.client)
+let ep_step ?(timeout_ms = 0) ep =
+  List.iter (on_event ep) (Netd.Replica.step ~timeout_ms ep.r);
+  check_clamp ep
 
 let pump_until ?(max_rounds = 8000) hubs eps cond =
   let rec go i =
@@ -264,12 +220,12 @@ let pump_until ?(max_rounds = 8000) hubs eps cond =
 let require name ok = if not ok then Alcotest.failf "timeout waiting for %s" name
 
 let doc_of ep =
-  match ep.ctrl with
+  match ctrl ep with
   | Some c -> Tdoc.visible_string (Controller.document c)
   | None -> "<not joined>"
 
 let settled ep =
-  match ep.ctrl with
+  match ctrl ep with
   | None -> false
   | Some c ->
     Controller.tentative c = []
@@ -277,12 +233,12 @@ let settled ep =
     && Controller.pending_admin c = 0
 
 let edit ep pos ch =
-  let c = Option.get ep.ctrl in
-  match Controller.generate c (Tdoc.ins_visible (Controller.document c) pos ch) with
-  | c, Controller.Accepted m ->
-    ep.ctrl <- Some c;
-    Netd.Client.send ep.client (Proto.Char_proto.encode_message m)
-  | _, Controller.Denied r -> Alcotest.failf "site %d denied: %s" ep.site r
+  let c = Option.get (ctrl ep) in
+  match Netd.Replica.generate ep.r (Tdoc.ins_visible (Controller.document c) pos ch) with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "site %d denied: %s" ep.site r
+
+let close ep = Netd.Client.close (client ep)
 
 let hub_doc ?doc hub = Tdoc.visible_string (Controller.document (Hub.controller ?doc hub))
 
@@ -300,7 +256,7 @@ let isolation_test () =
   let b1 = mk_endpoint ~doc:"beta" ~port ~site:1 () in
   let eps = [ a0; a1; b1 ] in
   require "all joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   Alcotest.(check (list int)) "alpha members" [ 0; 1 ]
     (Hub.connected_sites ~doc:"alpha" hub);
   Alcotest.(check (list int)) "beta members" [ 1 ]
@@ -328,7 +284,7 @@ let isolation_test () =
       (Obs.Metrics.gauges metrics)
   in
   Alcotest.(check int) "alpha member gauge" 2 g;
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- raw-socket multiplexing: one socket, two docs ----- *)
 
@@ -430,36 +386,11 @@ let multiplex_test () =
   let _, eof = drain_frames hub fd ~rounds:2000 (fun _ -> false) in
   Alcotest.(check bool) "message after detach drops the peer" true eof
 
-(* ----- v1/v2 interop on the default document ----- *)
-
-let interop_test () =
-  let hub = mk_hub () in
-  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
-  let port = Hub.port hub in
-  (* ep_old speaks the original single-doc protocol (no --doc), ep_new
-     attaches to "main" explicitly; they must share the session *)
-  let ep_old = mk_endpoint ~port ~site:0 () in
-  let ep_new = mk_endpoint ~doc:"main" ~port ~site:1 () in
-  let eps = [ ep_old; ep_new ] in
-  require "both joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
-  Alcotest.(check (list int)) "one session, both dialects" [ 0; 1 ]
-    (Hub.connected_sites hub);
-  edit ep_old 0 'o';
-  require "v1 edit reaches the v2 member"
-    (pump_until [ hub ] eps (fun () -> doc_of ep_new = "oabc"));
-  edit ep_new 4 'n';
-  require "v2 edit reaches the v1 member"
-    (pump_until [ hub ] eps (fun () ->
-         doc_of ep_old = "oabcn" && doc_of ep_new = "oabcn"
-         && List.for_all settled eps));
-  Alcotest.(check string) "hub copy agrees" "oabcn" (hub_doc hub);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
-
 (* ----- hostile attach frames ----- *)
 
 let hostile_attach_test () =
-  let hub = mk_hub ~docs:[ "main" ] () in
+  let ring = Obs.Trace.ring ~capacity:256 in
+  let hub = mk_hub ~trace:(Obs.Trace.ring_sink ring) ~docs:[ "main" ] () in
   Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
   let connect_raw () =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -492,20 +423,49 @@ let hostile_attach_test () =
   let fd = connect_raw () in
   send_payload fd "A\x05";
   Alcotest.(check bool) "malformed attach envelope dropped" true (dropped fd);
-  (* v1 greeting then a v2 attach on the same socket *)
+  let attach_main =
+    Netd.Relay_proto.encode (Netd.Relay_proto.Attach { doc = "main"; site = 1 })
+  in
+  let served = List.exists (function Netd.Relay_proto.Attached _ -> true | _ -> false) in
+  (* the retired single-document greeting ('H' and a site), then an
+     attach on the same socket: the greeting alone drops the peer, and
+     nothing is ever served *)
   let fd = connect_raw () in
-  send_payload fd (Netd.Relay_proto.encode (Netd.Relay_proto.Hello { site = 1 }));
-  send_payload fd
-    (Netd.Relay_proto.encode (Netd.Relay_proto.Attach { doc = "main"; site = 1 }));
-  Alcotest.(check bool) "attach after hello dropped" true (dropped fd);
+  send_payload fd "H\x01";
+  send_payload fd attach_main;
+  let got, eof = drain_frames hub fd ~rounds:2000 (fun _ -> false) in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "attach after the retired greeting dropped" true eof;
+  Alcotest.(check bool) "and never served" false (served got);
+  (* attaching the same document twice on one socket *)
+  let fd = connect_raw () in
+  send_payload fd attach_main;
+  send_payload fd attach_main;
+  Alcotest.(check bool) "duplicate attach dropped" true (dropped fd);
+  (* an attached peer that sends a retired 'H' frame is dropped as a
+     corrupt stream *)
+  let fd = connect_raw () in
+  send_payload fd attach_main;
+  let got, _ = drain_frames hub fd ~rounds:2000 served in
+  Alcotest.(check bool) "attached first" true (served got);
+  send_payload fd "H\x01";
+  Alcotest.(check bool) "retired 'H' frame dropped" true (dropped fd);
+  let corrupt_h (e : Obs.Trace.event) =
+    match e.Obs.Trace.kind with
+    | Obs.Trace.Net { action = "frame_error"; detail; _ } ->
+      detail = "corrupt stream: bad envelope: unknown relay message kind 'H'"
+    | _ -> false
+  in
+  Alcotest.(check bool) "as Corrupt" true
+    (List.exists corrupt_h (Obs.Trace.ring_events ring));
   (* after all of it, an honest member still gets served *)
-  let ep = mk_endpoint ~doc:"main" ~port:(Hub.port hub) ~site:2 () in
+  let ep = mk_endpoint ~port:(Hub.port hub) ~site:2 () in
   require "honest client joins after abuse"
-    (pump_until [ hub ] [ ep ] (fun () -> ep.ctrl <> None));
+    (pump_until [ hub ] [ ep ] (fun () -> ctrl ep <> None));
   Alcotest.(check string) "and sees the document" "abc" (doc_of ep);
   Alcotest.(check int) "hostile attaches never became sessions" 1
     (List.length (Hub.docs hub));
-  Netd.Client.close ep.client
+  close ep
 
 (* ----- federation: home + leaf, late joiner from the leaf ----- *)
 
@@ -519,12 +479,12 @@ let federation_test () =
   Fun.protect ~finally:(fun () -> Hub.shutdown leaf) @@ fun () ->
   let hubs = [ home; leaf ] in
   (* the admin joins the home hub, a user joins the leaf *)
-  let ep0 = mk_endpoint ~doc:"main" ~port:(Hub.port home) ~site:0 () in
-  let ep2 = mk_endpoint ~doc:"main" ~port:(Hub.port leaf) ~site:2 () in
+  let ep0 = mk_endpoint ~port:(Hub.port home) ~site:0 () in
+  let ep2 = mk_endpoint ~port:(Hub.port leaf) ~site:2 () in
   let eps = [ ep0; ep2 ] in
   require "members joined and the leaf linked up"
     (pump_until hubs eps (fun () ->
-         ep0.ctrl <> None && ep2.ctrl <> None && Hub.upstream_connected leaf));
+         ctrl ep0 <> None && ctrl ep2 <> None && Hub.upstream_connected leaf));
   (* the leaf presents its hosted site at the home hub *)
   Alcotest.(check (list int)) "home sees admin + leaf" [ 0; relay_site + 2 ]
     (Hub.connected_sites home);
@@ -558,10 +518,10 @@ let federation_test () =
   Alcotest.(check string) "leaf replica content" "labch" (hub_doc leaf);
   (* a late joiner attaches to the LEAF and must bootstrap from the
      leaf's snapshot — no round trip to the home hub *)
-  let ep1 = mk_endpoint ~doc:"main" ~port:(Hub.port leaf) ~site:1 () in
+  let ep1 = mk_endpoint ~port:(Hub.port leaf) ~site:1 () in
   let eps = ep1 :: eps in
   require "late joiner boots from the leaf"
-    (pump_until hubs eps (fun () -> ep1.ctrl <> None));
+    (pump_until hubs eps (fun () -> ctrl ep1 <> None));
   Alcotest.(check string) "late joiner caught up from the leaf snapshot" "labch"
     (doc_of ep1);
   edit ep1 0 'z';
@@ -572,7 +532,7 @@ let federation_test () =
          && fingerprint home = fingerprint leaf));
   (* convergence oracle over the three real member controllers *)
   let report =
-    Dce_sim.Convergence.check (List.map (fun ep -> Option.get ep.ctrl) eps)
+    Dce_sim.Convergence.check (List.map (fun ep -> Option.get (ctrl ep)) eps)
   in
   if not (Dce_sim.Convergence.ok report) then
     Alcotest.failf "convergence violated: %s"
@@ -581,7 +541,7 @@ let federation_test () =
   Alcotest.(check int) "no loop drops at the home hub" 0
     (try List.assoc "hub.loop_drops" (Obs.Metrics.counters home_metrics)
      with Not_found -> 0);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- upstream: reconnect storm ----- *)
 
@@ -731,12 +691,12 @@ let degraded_heal_test () =
   let home_port = Hub.port home in
   let leaf = mk_hub ~hub_id:2 ~upstream:("127.0.0.1", home_port) () in
   Fun.protect ~finally:(fun () -> Hub.shutdown leaf) @@ fun () ->
-  let ep0 = mk_endpoint ~doc:"main" ~port:home_port ~site:0 () in
-  let ep2 = mk_endpoint ~doc:"main" ~port:(Hub.port leaf) ~site:2 () in
+  let ep0 = mk_endpoint ~port:home_port ~site:0 () in
+  let ep2 = mk_endpoint ~port:(Hub.port leaf) ~site:2 () in
   let eps = [ ep0; ep2 ] in
   require "everyone linked"
     (pump_until [ home; leaf ] eps (fun () ->
-         ep0.ctrl <> None && ep2.ctrl <> None && Hub.upstream_connected leaf));
+         ctrl ep0 <> None && ctrl ep2 <> None && Hub.upstream_connected leaf));
   edit ep2 0 'a';
   require "pre-partition convergence"
     (pump_until [ home; leaf ] eps (fun () ->
@@ -789,12 +749,12 @@ let degraded_heal_test () =
   Alcotest.(check string) "healthz healthy after the heal" "ok"
     (json_status (Hub.healthz leaf ()));
   let report =
-    Dce_sim.Convergence.check (List.map (fun ep -> Option.get ep.ctrl) eps)
+    Dce_sim.Convergence.check (List.map (fun ep -> Option.get (ctrl ep)) eps)
   in
   if not (Dce_sim.Convergence.ok report) then
     Alcotest.failf "convergence violated after heal: %s"
       (Format.asprintf "%a" Dce_sim.Convergence.pp report);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- delta catch-up: resume inside the hosted window ----- *)
 
@@ -803,28 +763,27 @@ let delta_resume_test () =
   let hub = mk_hub ~metrics () in
   Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
   let port = Hub.port hub in
-  let ep0 = mk_endpoint ~doc:"main" ~port ~site:0 () in
-  let ep1 = mk_endpoint ~doc:"main" ~port ~site:1 () in
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~port ~site:1 () in
   let eps = [ ep0; ep1 ] in
   require "both joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   edit ep0 0 'x';
   edit ep1 3 'y';
   require "both converged"
     (pump_until [ hub ] eps (fun () ->
          doc_of ep0 = doc_of ep1 && List.for_all settled eps));
   (* ep1 goes away holding its state — a laptop lid closing *)
-  let parked = Option.get ep1.ctrl in
-  Netd.Client.close ep1.client;
+  let parked = Option.get (ctrl ep1) in
+  close ep1;
   (* the session moves on without it *)
   edit ep0 0 'z';
   require "the survivor settles alone"
     (pump_until [ hub ] [ ep0 ] (fun () -> settled ep0));
-  (* resume presenting the parked clock: the hub has never compacted,
-     so the state transfer must be the missed suffix, not a snapshot *)
-  let resume () = Some (Controller.clock parked, Controller.version parked) in
-  let ep1b = mk_endpoint ~doc:"main" ~resume ~port ~site:1 () in
-  ep1b.ctrl <- Some parked;
+  (* resume from the parked state, which presents its clock: the hub has
+     never compacted, so the state transfer must be the missed suffix,
+     not a snapshot *)
+  let ep1b = mk_endpoint ~ctrl:parked ~port ~site:1 () in
   let eps = [ ep0; ep1b ] in
   require "resumed client catches up via the delta"
     (pump_until [ hub ] eps (fun () ->
@@ -832,7 +791,7 @@ let delta_resume_test () =
   Alcotest.(check int) "the hub answered with a delta" 1
     (try List.assoc "hub.deltas" (Obs.Metrics.counters metrics) with Not_found -> 0);
   Alcotest.(check string) "hub copy agrees" (doc_of ep0) (hub_doc hub);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- delta catch-up: resume behind the compaction cut ----- *)
 
@@ -844,18 +803,18 @@ let snapshot_fallback_test () =
   let port = Hub.port hub in
   (* every policy user participates and beacons fast, so the hub's
      stable frontier can cover the whole group's edits *)
-  let ep0 = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~port ~site:0 () in
-  let ep1 = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~port ~site:1 () in
-  let ep2 = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~port ~site:2 () in
+  let ep0 = mk_endpoint ~heartbeat_ms:5 ~port ~site:0 () in
+  let ep1 = mk_endpoint ~heartbeat_ms:5 ~port ~site:1 () in
+  let ep2 = mk_endpoint ~heartbeat_ms:5 ~port ~site:2 () in
   let eps = [ ep0; ep1; ep2 ] in
   require "all joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   edit ep1 0 'a';
   require "first edit converges"
     (pump_until [ hub ] eps (fun () ->
          List.for_all (fun e -> doc_of e = "aabc") eps && List.for_all settled eps));
   (* the resurrection point: ep1's state before the next round of edits *)
-  let stale = Option.get ep1.ctrl in
+  let stale = Option.get (ctrl ep1) in
   edit ep0 0 'b';
   edit ep2 0 'c';
   (* keep everyone — ep1 included — live and beaconing until the hub's
@@ -870,12 +829,10 @@ let snapshot_fallback_test () =
   in
   require "hub compacts past the stale clock" (pump_until [ hub ] eps cut_past_stale);
   let converged = doc_of ep0 in
-  Netd.Client.close ep1.client;
+  close ep1;
   (* resurrect site 1 from the stale state: the hosted log no longer
      covers its clock, so the hub must fall back to a full snapshot *)
-  let resume () = Some (Controller.clock stale, Controller.version stale) in
-  let ep1b = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~resume ~port ~site:1 () in
-  ep1b.ctrl <- Some stale;
+  let ep1b = mk_endpoint ~heartbeat_ms:5 ~ctrl:stale ~port ~site:1 () in
   let eps = [ ep0; ep1b; ep2 ] in
   require "stale resume falls back to a snapshot and converges"
     (pump_until [ hub ] eps (fun () ->
@@ -885,7 +842,7 @@ let snapshot_fallback_test () =
     (try List.assoc "hub.deltas" (Obs.Metrics.counters metrics) with Not_found -> 0);
   Alcotest.(check int) "the resurrected site resynced from one snapshot" 1
     ep1b.snapshots;
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- journaled hosting: compaction follows every checkpoint ----- *)
 
@@ -919,7 +876,7 @@ let checkpoint_compaction_test () =
       ~eq:Char.equal ~codec:Proto.char_codec ~factory ~docs:[ "main" ]
       ~port:0 ()
   in
-  let ep = mk_endpoint ~doc:"main" ~port:(Hub.port hub) ~site:0 () in
+  let ep = mk_endpoint ~port:(Hub.port hub) ~site:0 () in
   let hosted () = Hub.controller hub in
   let window_max = ref 0 in
   let integrated k () =
@@ -928,9 +885,9 @@ let checkpoint_compaction_test () =
   in
   (Fun.protect ~finally:(fun () ->
        Hub.shutdown hub;
-       Netd.Client.close ep.client)
+       close ep)
    @@ fun () ->
-   require "joined" (pump_until [ hub ] [ ep ] (fun () -> ep.ctrl <> None));
+   require "joined" (pump_until [ hub ] [ ep ] (fun () -> ctrl ep <> None));
    (* stop mid-cadence, so recovery has a WAL suffix to replay *)
    for k = 1 to (3 * snapshot_every) + (snapshot_every / 2) do
      edit ep 0 (Char.chr (97 + (k mod 26)));
@@ -956,6 +913,102 @@ let checkpoint_compaction_test () =
       Alcotest.(check string) "recovered replica matches the live one" live
         (Proto.content_fingerprint Proto.char_codec c))
 
+(* ----- a journaled editor killed mid-session, restarted from its journal ----- *)
+
+let journaled_restart_test () =
+  let metrics = Obs.Metrics.create () in
+  (* a fast stability cadence, so the hub and the editors compact within
+     the test *)
+  let hub = mk_hub ~metrics ~beacon_ms:5 ~compact_ms:5 () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let disk = Dce_store.Io.Mem.create () in
+  let opendir () =
+    Persist.opendir
+      ~config:{ Dce_store.Store.default_config with Dce_store.Store.snapshot_every = 4 }
+      ~io:(Dce_store.Io.Mem.io disk) ~eq:Char.equal ~codec:Proto.char_codec "site1"
+  in
+  let journal =
+    match opendir () with Ok (j, _) -> j | Error e -> Alcotest.failf "opendir: %s" e
+  in
+  (* site 1's outgoing frames pass through a fault plan that only ever
+     partitions *)
+  let faults = Netd.Faults.create ~seed:1 ~label:"site-1" () in
+  let ep0 = mk_endpoint ~heartbeat_ms:5 ~port ~site:0 () in
+  let ep1 = mk_endpoint ~heartbeat_ms:5 ~faults ~journal ~port ~site:1 () in
+  let ep2 = mk_endpoint ~heartbeat_ms:5 ~port ~site:2 () in
+  (* compaction on every turn, not just on the replica's cadence, with
+     the durability clamp checked after each *)
+  let pump eps cond =
+    pump_until [ hub ] eps (fun () ->
+        List.iter
+          (fun ep ->
+            List.iter (on_event ep) (Netd.Replica.compact ep.r);
+            check_clamp ep)
+          eps;
+        cond ())
+  in
+  let converged eps =
+    List.for_all settled eps
+    && List.for_all (fun ep -> doc_of ep = hub_doc hub) eps
+  in
+  let eps = [ ep0; ep1; ep2 ] in
+  require "all joined" (pump eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
+  List.iteri
+    (fun k ep ->
+      edit ep 0 (Char.chr (Char.code 'a' + k));
+      require "the edit settles everywhere" (pump eps (fun () -> converged eps)))
+    [ ep0; ep1; ep2; ep1; ep0; ep1; ep2; ep1; ep0; ep1 ];
+  require "site 1 compacted behind its checkpoint"
+    (pump eps (fun () ->
+         Vclock.sum (Controller.compacted_upto (Option.get (ctrl ep1))) > 0));
+  (* the last edit is journaled, but the partition swallows its frame;
+     then the process dies: the socket closes with no Bye and the
+     journal is abandoned mid-session *)
+  Netd.Faults.set_partitioned faults true;
+  edit ep1 0 'Z';
+  ep_step ep1;
+  Option.iter Unix.close (Netd.Client.fd (client ep1));
+  Dce_store.Io.Mem.crash disk;
+  let survivors = [ ep0; ep2 ] in
+  require "the hub reaps the dead editor"
+    (pump survivors (fun () -> Hub.connected_sites hub = [ 0; 2 ]));
+  edit ep2 0 'Q';
+  require "the survivors move on" (pump survivors (fun () -> converged survivors));
+  Alcotest.(check bool) "the group never saw the lost edit" false
+    (String.contains (hub_doc hub) 'Z');
+  (* restart from the journal alone *)
+  let journal, recovered =
+    match opendir () with
+    | Ok (j, { Persist.controller = Some c; _ }) -> (j, c)
+    | Ok _ -> Alcotest.fail "nothing recovered"
+    | Error e -> Alcotest.failf "recovery failed: %s" e
+  in
+  Alcotest.(check bool) "recovery kept the lost edit" true
+    (String.contains (Tdoc.visible_string (Controller.document recovered)) 'Z');
+  let ep1 = mk_endpoint ~heartbeat_ms:5 ~journal ~ctrl:recovered ~port ~site:1 () in
+  let eps = [ ep0; ep1; ep2 ] in
+  require "the restarted editor resumes and everyone converges"
+    (pump eps (fun () -> ep1.rebroadcasts <> [] && converged eps));
+  Alcotest.(check int) "resumed by delta" 0 ep1.snapshots;
+  Alcotest.(check int) "the hub served one delta" 1
+    (List.assoc "hub.deltas" (Obs.Metrics.counters metrics));
+  Alcotest.(check (list int)) "re-broadcast exactly the lost edit" [ 1 ] ep1.rebroadcasts;
+  Alcotest.(check bool) "which reached the group" true
+    (String.contains (hub_doc hub) 'Z');
+  let fingerprint c = Proto.content_fingerprint Proto.char_codec c in
+  List.iter
+    (fun ep ->
+      Alcotest.(check string)
+        (Printf.sprintf "site %d converged by content" ep.site)
+        (fingerprint (Hub.controller hub))
+        (fingerprint (Option.get (ctrl ep))))
+    eps;
+  List.iter close [ ep0; ep2 ];
+  match Netd.Replica.close ep1.r with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Netd.Replica.error_to_string e)
+
 (* ----- one poll round per relayed frame ----- *)
 
 (* Sends write through, so the hub step that reads a member's frame
@@ -965,23 +1018,23 @@ let one_step_relay_test () =
   let hub = mk_hub () in
   Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
   let port = Hub.port hub in
-  let e0 = mk_endpoint ~doc:"main" ~port ~site:0 () in
-  let e1 = mk_endpoint ~doc:"main" ~port ~site:1 () in
+  let e0 = mk_endpoint ~port ~site:0 () in
+  let e1 = mk_endpoint ~port ~site:1 () in
   let eps = [ e0; e1 ] in
   require "both joined"
     (pump_until [ hub ] eps (fun () ->
-         List.for_all (fun e -> e.ctrl <> None) eps
+         List.for_all (fun e -> ctrl e <> None) eps
          && Hub.connected_sites ~doc:"main" hub = [ 0; 1 ]));
   let before = e0.got_msgs in
   edit e1 0 'x';
   ep_step e1;
   Alcotest.(check int) "the editor's frame left at once" 0
-    (Netd.Client.outbox_bytes e1.client);
+    (Netd.Client.outbox_bytes (client e1));
   Evloop.sleep_ms 20;
   Hub.step ~timeout_ms:1000 hub;
   let deadline = Unix.gettimeofday () +. 2.0 in
   while e0.got_msgs = before && Unix.gettimeofday () < deadline do
-    List.iter (on_event e0) (Netd.Client.step ~timeout_ms:10 e0.client)
+    ep_step ~timeout_ms:10 e0
   done;
   Alcotest.(check bool) "relayed by a single hub step" true (e0.got_msgs > before);
   Alcotest.(check string) "and applied" "xabc" (doc_of e0)
@@ -1000,8 +1053,6 @@ let () =
             isolation_test;
           Alcotest.test_case "one socket multiplexes attach/detach over two docs"
             `Quick multiplex_test;
-          Alcotest.test_case "v1 and v2 clients interoperate on the default doc"
-            `Quick interop_test;
           Alcotest.test_case "hostile attach frames drop the peer, not the hub"
             `Quick hostile_attach_test;
           Alcotest.test_case "one hub step relays a member's frame" `Quick
@@ -1029,5 +1080,8 @@ let () =
           Alcotest.test_case
             "a journaled session compacts behind each checkpoint" `Quick
             checkpoint_compaction_test;
+          Alcotest.test_case
+            "a killed journaled editor resumes by delta and re-sends its lost edit"
+            `Quick journaled_restart_test;
         ] );
     ]

@@ -170,6 +170,69 @@ let domain_tests =
 
 (* ----- fuzzing: hostile bytes never raise ----- *)
 
+(* A session that has exchanged a few edits: an administrator and a
+   user that have integrated site 1's first edits, and the frames site 1
+   and the administrator would send next — honest traffic the receivers
+   have not seen, so a corrupted copy lands close to the real log,
+   document and policy history. *)
+let live_session =
+  lazy
+    (let policy =
+       Policy.make ~users:[ adm; s1; s2 ]
+         [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+     in
+     let mk site =
+       Controller.create ~eq:Char.equal ~site ~admin:adm ~policy (Tdoc.of_string "abcdef")
+     in
+     let gen c op =
+       match Controller.generate c op with
+       | c, Controller.Accepted m -> (c, m)
+       | _, Controller.Denied r -> failwith r
+     in
+     let deliver c ms = List.fold_left (fun c m -> fst (Controller.receive c m)) c ms in
+     let u1, m1 = gen (mk s1) (Op.ins 1 'x') in
+     let u1, m2 = gen u1 (Op.del 3 'c') in
+     let admin, validations =
+       List.fold_left
+         (fun (c, out) m ->
+           let c, emitted = Controller.receive c m in
+           (c, out @ emitted))
+         (mk adm, []) [ m1; m2 ]
+     in
+     let user = deliver (mk s2) ([ m1; m2 ] @ validations) in
+     let u1 = deliver u1 validations in
+     let n = Tdoc.model_length (Controller.document u1) in
+     let coop =
+       List.concat
+         (List.init n (fun p ->
+              let elt = (Tdoc.cell (Controller.document u1) p).Tdoc.elt in
+              [ Op.ins p 'y'; Op.del p elt; Op.up p elt 'z' ]))
+     in
+     let coop = List.map (fun op -> snd (gen u1 op)) (Op.ins n 'y' :: coop) in
+     let admin_ops =
+       [
+         Admin_op.Add_auth
+           (0, Auth.deny [ Subject.User s1 ] [ Docobj.Whole ] [ Right.Insert ]);
+         Admin_op.Add_user 7;
+         Admin_op.Del_auth 0;
+         Admin_op.Transfer_admin s2;
+       ]
+     in
+     let admin_msgs =
+       List.filter_map
+         (fun op ->
+           match Controller.admin_update admin op with
+           | Ok (_, m) -> Some m
+           | Error _ -> None)
+         admin_ops
+     in
+     ([ admin; user ], coop @ admin_msgs))
+
+let live_receivers = lazy (fst (Lazy.force live_session))
+
+let live_frames =
+  lazy (List.map Proto.Char_proto.encode_message (snd (Lazy.force live_session)))
+
 let fuzz_tests =
   [
     qtest "decode_message never raises on random bytes" ~count:2000
@@ -181,17 +244,41 @@ let fuzz_tests =
       QCheck2.Gen.(string_size (int_range 0 300))
       (fun s -> Printf.sprintf "%d bytes" (String.length s))
       (fun s -> match Proto.Char_proto.decode_state s with Ok _ | Error _ -> true);
-    qtest "decode_message never raises on corrupted valid frames" ~count:1000
+    (* a frame that survives corruption and still decodes is fed to live
+       controllers through the checked entry point: it may be refused,
+       but nothing reachable from the wire may raise *)
+    qtest "decode_message never raises on corrupted valid frames" ~count:20000
       QCheck2.Gen.(
-        gen_request >>= fun q ->
-        pair (int_range 0 10_000) (int_range 0 255) >|= fun (at, with_) ->
-        let s = Bytes.of_string (Proto.Char_proto.encode_message (Controller.Coop q)) in
-        let at = at mod Bytes.length s in
-        Bytes.set s at (Char.chr with_);
-        Bytes.to_string s)
-      (fun s -> Printf.sprintf "%d bytes" (String.length s))
+        oneof
+          [
+            ( gen_request >|= fun q ->
+              Proto.Char_proto.encode_message (Controller.Coop q) );
+            oneofl (Lazy.force live_frames);
+          ]
+        >>= fun frame ->
+        pair bool
+          (list_size (int_range 1 3) (pair (int_range 0 10_000) (int_range 0 255)))
+        >|= fun (hostile, edits) ->
+        let corrupt s =
+          let b = Bytes.of_string s in
+          List.iter
+            (fun (at, c) -> Bytes.set b (at mod Bytes.length b) (Char.chr c))
+            edits;
+          Bytes.to_string b
+        in
+        (* line noise breaks the CRC; a hostile sender re-frames the
+           mutated payload, so the decoder and the controller see it *)
+        match Codec.unframe frame with
+        | Ok payload when hostile -> Codec.frame (corrupt payload)
+        | _ -> corrupt frame)
+      (fun s -> Printf.sprintf "%S" s)
       (fun s ->
-        match Proto.Char_proto.decode_message s with Ok _ | Error _ -> true);
+        match Proto.Char_proto.decode_message s with
+        | Error _ -> true
+        | Ok m ->
+          List.for_all
+            (fun c -> match Controller.try_receive c m with Ok _ | Error _ -> true)
+            (Lazy.force live_receivers));
   ]
 
 (* ----- session save / restore ----- *)

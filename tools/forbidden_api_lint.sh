@@ -21,6 +21,15 @@
 #                 decide the process's fate; a library error is a result
 #                 or an exception.
 #
+#   catch-all     `| exception _`, `| exception e ->` and `with _ ->` /
+#                 `with e ->` (any handler that binds every exception)
+#                 on the data path: lib/{ot,core,wire,store,netd,hub} and
+#                 bin/{dced,p2pedit,loadgen}.ml.  Decoders return typed
+#                 errors and Controller.try_receive names the exceptions
+#                 semantically invalid input raises; anything else is a
+#                 bug, and a catch-all would hide it.  Name the
+#                 exceptions you mean.
+#
 # Allowlist: tools/forbidden_api_allowlist.txt, one "<rule> <path>" per
 # line ('#' comments).  An entry exempts the whole file for that rule —
 # keep entries rare and justified inline.
@@ -69,6 +78,13 @@ report lib-print "$@"
 
 set -- $(grep -rnE '(^|[^.[:alnum:]_])(Stdlib\.)?exit [0-9]' lib 2>/dev/null) || true
 report lib-exit "$@"
+
+data_path="lib/ot lib/core lib/wire lib/store lib/netd lib/hub bin/dced.ml bin/p2pedit.ml bin/loadgen.ml"
+# shellcheck disable=SC2086 # word-split the path list on purpose
+set -- $(IFS=' '; grep -rnE \
+  "(\||with)[[:space:]]*exception[[:space:]]+[a-z_][A-Za-z0-9_']*[[:space:]]*(->|when|\$)|(^|[^[:alnum:]_.])with[[:space:]]+[a-z_][A-Za-z0-9_']*[[:space:]]*(->|when)" \
+  $data_path 2>/dev/null) || true
+report catch-all "$@"
 
 IFS=$old_ifs
 
